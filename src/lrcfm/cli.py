@@ -15,6 +15,7 @@ import numpy as np
 
 from . import beam_optics, collection, designer, mapping, pulse_fit
 from .config import ConfigError, load_config
+from .io import atomic_write
 from .units import UnitError, parse_quantity
 
 EXIT_OK = 0
@@ -37,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: config 'output' "
                              "or current directory)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for per-pixel fits")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for synthetic data generation")
     sub = parser.add_subparsers(dest="command", required=True,
@@ -124,9 +123,8 @@ def cmd_design(args) -> int:
     out = _out_dir(args, cfg)
     spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
                               cfg.sweep_context())
-    rows = designer.sweep(spec)
-    designer.write_sweep_csv(rows, out / "sweep.csv")
     opt = designer.optimal_rayleigh(spec)
+    designer.write_sweep_csv(opt.rows, out / "sweep.csv")
     focal = beam_optics.focal_length_for_rayleigh(
         opt.rayleigh_length, cfg.incident_beam_diameter, cfg.wavelength)
     catalog = cfg.catalog if cfg.catalog is not None else designer.default_catalog()
@@ -150,7 +148,8 @@ def cmd_design(args) -> int:
         report["fiber_detection_proportion"] = collection.detection_proportion(
             cfg.fiber_core_diameter / 2.0, cfg.fiber_magnification,
             choice.waist_radius)
-    (out / "design_report.json").write_text(json.dumps(report, indent=2) + "\n")
+    atomic_write(out / "design_report.json",
+                 json.dumps(report, indent=2) + "\n")
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "
           f"(2 z_R = {2 * opt.rayleigh_length * 1e6:.1f} um), "
           f"F* = {focal * 1e3:.2f} mm, "
@@ -173,7 +172,7 @@ def cmd_sweep(args) -> int:
         lines = ["proportion,lrcfm_cfm_ratio"]
         lines += [f"{repr(float(p))},{repr(float(r))}" for p, r in table]
         path = out / "cfm_comparison.csv"
-        _atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, "\n".join(lines) + "\n")
         print(f"wrote {path}")
         return EXIT_OK
     variable = {"rayleigh": "rayleigh_length", "waist": "waist_radius"}[
@@ -234,8 +233,8 @@ def cmd_map(args) -> int:
     out = _out_dir(args)
     mapping.write_map_csv(pixel_map, out / "map.csv")
     mapping.write_stats_json(map_stats, out / "stats.json")
-    (out / "map.json").write_text(
-        json.dumps(mapping.map_to_json_dict(pixel_map), indent=2) + "\n")
+    map_json = json.dumps(mapping.map_to_json_dict(pixel_map), indent=2)
+    atomic_write(out / "map.json", map_json + "\n")
     print(f"map {pixel_map.nx}x{pixel_map.ny}: mean={map_stats.mean:.6g} "
           f"{pixel_map.units}, valid={map_stats.n_valid}, "
           f"missing={map_stats.n_missing}")
@@ -277,15 +276,9 @@ def cmd_simulate(args) -> int:
     manifest = {"model": args.model, "pitch_um": pitch * 1e6,
                 "noise_sigma": args.noise, "seed": args.seed,
                 "pixels": pixels}
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(pixels)} pixel files to {out}")
     return EXIT_OK
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import designer
+from . import beam_optics, designer
 from .nv_rates import NvRateSet, PumpModel, load_rate_file
 from .units import UnitError, parse_number, parse_quantity
 
@@ -41,12 +41,12 @@ class RunConfig:
     sweep_max: float
     output: Path | None
 
-    def sweep_context(self, lens_radius: float | None = None,
-                      **overrides) -> designer.SweepContext:
+    def sweep_context(self, lens_radius: float | None = None
+                      ) -> designer.SweepContext:
         radius = lens_radius if lens_radius is not None else self.lens_radius
         if radius is None:
             raise ConfigError("no lens.radius configured and none given")
-        kwargs = dict(
+        return designer.SweepContext(
             wavelength=self.wavelength,
             laser_power=self.laser_power,
             incident_beam_diameter=self.incident_beam_diameter,
@@ -57,8 +57,6 @@ class RunConfig:
             volume_model=self.volume_model,
             density=self.density,
         )
-        kwargs.update(overrides)
-        return designer.SweepContext(**kwargs)
 
     def sweep_grid(self, points: int | None = None) -> tuple[float, ...]:
         return designer.default_grid(self.sweep_min, self.sweep_max,
@@ -149,9 +147,10 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
             raise ConfigError(str(exc)) from exc
 
     volume_model = raw.get("volume_model", (0, "clipped"))[1]
-    if volume_model not in ("clipped", "thickness"):
-        raise ConfigError(f"{source}: volume_model must be 'clipped' or "
-                          f"'thickness', got {volume_model!r}")
+    if volume_model not in beam_optics.VOLUME_MODELS:
+        choices = " or ".join(repr(m) for m in beam_optics.VOLUME_MODELS)
+        raise ConfigError(f"{source}: volume_model must be {choices}, "
+                          f"got {volume_model!r}")
 
     points = number("sweep.points", 200.0)
     if points != int(points) or points < 2:

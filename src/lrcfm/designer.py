@@ -12,19 +12,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from . import beam_optics, collection
+from .io import atomic_write
 from .nv_rates import NvRateSet, PumpModel
 
 SWEEP_HEADER = ("variable", "volume_m3", "icw", "polarization", "product",
                 "detection_rate", "detected_signal")
-
-# standard 1-inch achromat focal lengths, mm
-DEFAULT_CATALOG_FOCAL_LENGTHS_MM = (19.0, 25.0, 30.0, 35.0, 40.0, 50.0,
-                                    75.0, 100.0)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,19 +39,17 @@ class SweepContext:
     rates: NvRateSet
     pump: PumpModel
     volume_model: str = "clipped"
-    detection_proportion: float = 1.0
     density: float = 1.0
 
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str  # "rayleigh_length" | "waist_radius" | "detection_proportion"
+    variable: str  # "rayleigh_length" | "waist_radius"
     grid: tuple[float, ...]
     context: SweepContext
 
     def __post_init__(self):
-        if self.variable not in ("rayleigh_length", "waist_radius",
-                                 "detection_proportion"):
+        if self.variable not in ("rayleigh_length", "waist_radius"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         grid = np.asarray(self.grid, dtype=float)
         if grid.size == 0 or np.any(grid <= 0):
@@ -97,24 +93,30 @@ def default_grid(lo: float = 1e-6, hi: float = 1e-2, n: int = 200) -> tuple:
     return tuple(np.geomspace(lo, hi, n))
 
 
-def default_catalog(diameter: float = 25.4e-3) -> LensCatalog:
-    entries = tuple((f"achromat-{f_mm:g}mm", f_mm * 1e-3, diameter)
-                    for f_mm in DEFAULT_CATALOG_FOCAL_LENGTHS_MM)
-    return LensCatalog(entries)
+def default_catalog() -> LensCatalog:
+    """The shipped 1-inch achromat catalog, data/lens_catalog.csv."""
+    return load_lens_catalog(resources.files("lrcfm.data")
+                             / "lens_catalog.csv")
+
+
+def _evaluate(beam: beam_optics.BeamGeometry, lens_radius: float,
+              ctx: SweepContext) -> collection.FigureOfMerit:
+    """Figure of merit for one excitation beam behind a collection lens of
+    the given radius at the beam's focal length."""
+    region = beam_optics.excitation_region(
+        beam.waist_radius, ctx.sample_thickness, ctx.laser_power,
+        ctx.wavelength, model=ctx.volume_model)
+    coll = collection.CollectionGeometry.from_lens(lens_radius,
+                                                   beam.focal_length)
+    return collection.figure_of_merit(beam, region, ctx.rates, ctx.pump,
+                                      coll, density=ctx.density)
 
 
 def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
     """Figure-of-merit factors for one Rayleigh length."""
     beam = beam_optics.BeamGeometry.from_rayleigh_length(
         ctx.wavelength, ctx.incident_beam_diameter, zr)
-    region = beam_optics.excitation_region(
-        beam.waist_radius, ctx.sample_thickness, ctx.laser_power,
-        ctx.wavelength, model=ctx.volume_model)
-    coll = collection.CollectionGeometry.from_lens(ctx.lens_radius,
-                                                   beam.focal_length)
-    fom = collection.figure_of_merit(
-        beam, region, ctx.rates, ctx.pump, coll,
-        proportion=ctx.detection_proportion, density=ctx.density)
+    fom = _evaluate(beam, ctx.lens_radius, ctx)
     return SweepRow(
         variable=zr,
         volume_m3=fom.detection_volume,
@@ -128,9 +130,6 @@ def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the figure of merit on the grid, one row per point."""
-    if spec.variable == "detection_proportion":
-        raise ValueError("detection_proportion sweeps go through "
-                         "cfm_comparison()")
     rows = []
     for value in spec.grid:
         zr = value
@@ -152,6 +151,7 @@ class OptimalResult:
     rayleigh_length: float
     detected_signal: float
     unimodal: bool
+    rows: tuple[SweepRow, ...] = field(repr=False)
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -167,26 +167,27 @@ def optimal_rayleigh(spec: SweepSpec) -> OptimalResult:
     search between the neighboring grid points (relative tolerance 1e-4).
     Ties break toward smaller Rayleigh length. If the grid profile is not
     unimodal the result carries unimodal=False and no refinement is done.
+    The swept grid rows come back in the result.
     """
     if spec.variable != "rayleigh_length":
         raise ValueError("optimal_rayleigh requires a rayleigh_length sweep")
-    rows = sweep(spec)
+    rows = tuple(sweep(spec))
     signal = np.array([r.detected_signal for r in rows])
     grid = np.array([r.variable for r in rows])
     i = int(np.argmax(signal))  # first occurrence: ties go to smaller zR
     if grid.size == 1:
-        return OptimalResult(float(grid[0]), float(signal[0]), True)
+        return OptimalResult(float(grid[0]), float(signal[0]), True, rows)
     if _sign_changes(signal) > 1:
         warnings.warn("detected signal is not unimodal on the sweep grid; "
                       "returning the grid argmax without refinement")
-        return OptimalResult(float(grid[i]), float(signal[i]), False)
+        return OptimalResult(float(grid[i]), float(signal[i]), False, rows)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     fun = lambda zr: evaluate_at_rayleigh(zr, spec.context).detected_signal
     zr_star, f_star = _golden_max(fun, lo, hi, rtol=1e-4)
     if f_star < signal[i]:
         zr_star, f_star = float(grid[i]), float(signal[i])
-    return OptimalResult(zr_star, f_star, True)
+    return OptimalResult(zr_star, f_star, True, rows)
 
 
 def _golden_max(fun, lo: float, hi: float, rtol: float) -> tuple[float, float]:
@@ -220,14 +221,7 @@ def evaluate_lens(focal_length: float, diameter: float,
                   ctx: SweepContext) -> LensChoice:
     beam = beam_optics.BeamGeometry.from_focal_length(
         ctx.wavelength, ctx.incident_beam_diameter, focal_length)
-    region = beam_optics.excitation_region(
-        beam.waist_radius, ctx.sample_thickness, ctx.laser_power,
-        ctx.wavelength, model=ctx.volume_model)
-    coll = collection.CollectionGeometry.from_lens(diameter / 2.0,
-                                                   focal_length)
-    fom = collection.figure_of_merit(
-        beam, region, ctx.rates, ctx.pump, coll,
-        proportion=ctx.detection_proportion, density=ctx.density)
+    fom = _evaluate(beam, diameter / 2.0, ctx)
     return LensChoice("", focal_length, fom.detected_signal,
                       beam.waist_radius, beam.rayleigh_length)
 
@@ -266,14 +260,12 @@ def cfm_comparison(spec: SweepSpec, cfm_focal: float,
     proportions = np.asarray(proportion_grid, dtype=float)
     if np.any(proportions <= 0) or np.any(proportions > 1):
         raise ValueError("proportions must lie in (0, 1]")
-    ctx = replace(spec.context, detection_proportion=1.0)
-    opt = optimal_rayleigh(replace(spec, context=ctx))
-    lrcfm_signal = opt.detected_signal
+    ctx = spec.context
+    lrcfm_signal = optimal_rayleigh(spec).detected_signal
     cfm_zr = beam_optics.rayleigh_length(
         beam_optics.waist_from_lens(cfm_focal, ctx.incident_beam_diameter,
                                     ctx.wavelength), ctx.wavelength)
-    cfm_base = evaluate_at_rayleigh(
-        cfm_zr, replace(ctx, detection_proportion=1.0)).detected_signal
+    cfm_base = evaluate_at_rayleigh(cfm_zr, ctx).detected_signal
     return [(float(p), lrcfm_signal / (cfm_base * p)) for p in proportions]
 
 
@@ -291,7 +283,7 @@ def write_sweep_csv(rows, path) -> None:
     lines = [",".join(SWEEP_HEADER)]
     for row in rows:
         lines.append(",".join(repr(float(v)) for v in row.astuple()))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_lens_catalog(path) -> LensCatalog:
@@ -315,9 +307,3 @@ def load_lens_catalog(path) -> LensCatalog:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad number") from exc
     return LensCatalog(tuple(entries))
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)

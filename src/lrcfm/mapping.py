@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import pulse_fit
+from .io import atomic_write
 from .pulse_fit import TimeSeries, UnidentifiableDataError
 
 QUANTITIES = ("pi_time", "t1", "t2", "custom")
@@ -197,7 +197,7 @@ def write_map_csv(pixel_map: PixelMap, path) -> None:
             value = repr(float(v)) if math.isfinite(v) else ""
             lines.append(f"{repr(x * 1e6)},{repr(y * 1e6)},{value},"
                          f"{pixel_map.units}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def map_to_json_dict(pixel_map: PixelMap) -> dict:
@@ -215,11 +215,4 @@ def map_to_json_dict(pixel_map: PixelMap) -> dict:
 
 
 def write_stats_json(map_stats: MapStats, path) -> None:
-    _atomic_write(Path(path),
-                  json.dumps(map_stats.to_json_dict(), indent=2) + "\n")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    atomic_write(path, json.dumps(map_stats.to_json_dict(), indent=2) + "\n")

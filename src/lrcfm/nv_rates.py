@@ -68,7 +68,6 @@ class PumpModel:
     equally to both ground spin branches."""
 
     coupling: float  # Hz per (W/m^2)
-    spin_conserving: bool = True
 
     def __post_init__(self):
         if self.coupling <= 0:

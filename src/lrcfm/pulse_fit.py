@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .io import atomic_write
+
 MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
 
 # indices of parameters constrained positive via log transform
@@ -398,4 +400,4 @@ def pi_time(rabi_result: FitResult) -> float:
 
 
 def write_fit_json(result: FitResult, path) -> None:
-    Path(path).write_text(json.dumps(result.to_json_dict(), indent=2) + "\n")
+    atomic_write(path, json.dumps(result.to_json_dict(), indent=2) + "\n")

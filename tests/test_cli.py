@@ -1,11 +1,12 @@
 import json
+import pathlib
 import shutil
 
 import numpy as np
 import pytest
 
 import lrcfm
-from lrcfm import pulse_fit
+from lrcfm import designer, pulse_fit
 from lrcfm.cli import main
 
 
@@ -26,6 +27,7 @@ def test_usage_errors():
     assert run("frobnicate") == 4
     assert run("design") == 4  # missing --config
     assert run("fit", "--model", "t3", "--input", "x.csv") == 4
+    assert run("--threads", "2", "design", "--config", "x.txt") == 4
 
 
 def test_missing_config_is_input_error(tmp_path, capsys):
@@ -64,6 +66,56 @@ def test_design_end_to_end(config_dir, tmp_path, capsys):
                         "detection_rate,detected_signal")
     assert len(lines) == 201
     assert "recommended lens" in capsys.readouterr().out
+
+
+def test_design_sweeps_once(config_dir, tmp_path, monkeypatch):
+    config = config_dir / "example_config.txt"
+    calls = []
+    evaluate = designer.evaluate_at_rayleigh
+
+    def counting(zr, ctx):
+        calls.append(zr)
+        return evaluate(zr, ctx)
+
+    monkeypatch.setattr(designer, "evaluate_at_rayleigh", counting)
+    assert run("--out", tmp_path / "design", "design", "--config", config) == 0
+    # one 200-point grid sweep plus the golden-section refinement
+    assert 200 < len(calls) < 400
+    assert run("--out", tmp_path / "sweep", "sweep", "--config", config,
+               "--variable", "rayleigh") == 0
+    assert (tmp_path / "design" / "sweep.csv").read_bytes() == \
+        (tmp_path / "sweep" / "sweep.csv").read_bytes()
+
+
+def test_design_default_catalog(config_dir, tmp_path):
+    full = config_dir / "example_config.txt"
+    bare = config_dir / "no_catalog.txt"
+    bare.write_text("".join(line for line in
+                            full.read_text().splitlines(keepends=True)
+                            if not line.startswith("lens.catalog")))
+    reports = []
+    for name, config in (("full", full), ("bare", bare)):
+        out = tmp_path / name
+        assert run("--out", out, "design", "--config", config) == 0
+        reports.append(json.loads((out / "design_report.json").read_text()))
+    assert reports[0]["recommended_lens"] == reports[1]["recommended_lens"]
+
+
+def test_failed_write_keeps_previous_output(config_dir, tmp_path,
+                                            monkeypatch):
+    out = tmp_path / "out"
+    argv = ("--out", out, "design", "--config",
+            config_dir / "example_config.txt")
+    assert run(*argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing_replace(self, target):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(pathlib.Path, "replace", failing_replace)
+    with pytest.raises(OSError, match="simulated"):
+        run(*argv)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_sweep_csv_repeatable(config_dir, tmp_path):

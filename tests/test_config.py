@@ -105,7 +105,8 @@ def test_missing_rates_file_names_path(config_dir):
 
 def test_bad_volume_model(config_dir):
     text = MINIMAL + "volume_model = sphere\n"
-    with pytest.raises(ConfigError, match="volume_model"):
+    with pytest.raises(ConfigError, match="volume_model must be 'clipped' "
+                                          "or 'thickness', got 'sphere'"):
         parse_config_text(text, config_dir)
 
 
