@@ -109,6 +109,34 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
 
 
+_NUMBER = (int, float)
+
+
+def _entry(obj, key: str, where: str, kind, default=None):
+    """obj[key] of JSON type `kind` (`default` when given and the key is
+    absent). A missing key or a value of another type is an input error,
+    not a KeyError or TypeError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    if key not in obj and default is not None:
+        return default
+    if key not in obj:
+        raise ConfigError(f"{where}: missing {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
+    return value
+
+
+def _floats(obj, key: str, where: str) -> np.ndarray:
+    """obj[key] as a float array: a number or a (nested) list of numbers."""
+    value = _entry(obj, key, where, (list, *_NUMBER))
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: {key!r} must hold numbers") from None
+
+
 def _out_dir(args, cfg=None) -> Path:
     out = args.out
     if out is None and cfg is not None and cfg.output is not None:
@@ -214,16 +242,19 @@ def cmd_map(args) -> int:
     if not manifest_path.is_file():
         raise ConfigError(f"manifest not found: {manifest_path}")
     manifest = json.loads(manifest_path.read_text())
+    where = f"manifest {manifest_path}"
     base = manifest_path.parent
     records = []
-    for pixel in manifest["pixels"]:
-        series = pulse_fit.TimeSeries.from_csv(base / pixel["file"])
-        records.append((pixel["x_um"] * 1e-6, pixel["y_um"] * 1e-6, series))
+    for pixel in _entry(manifest, "pixels", where, list):
+        series = pulse_fit.TimeSeries.from_csv(
+            base / _entry(pixel, "file", where, str))
+        records.append((_entry(pixel, "x_um", where, _NUMBER) * 1e-6,
+                        _entry(pixel, "y_um", where, _NUMBER) * 1e-6, series))
     pitch = None
     if args.pitch is not None:
         pitch = parse_quantity(args.pitch, "length")
     elif "pitch_um" in manifest:
-        pitch = manifest["pitch_um"] * 1e-6
+        pitch = _entry(manifest, "pitch_um", where, _NUMBER) * 1e-6
     pixel_map = mapping.assemble(records, args.model, pitch=pitch)
     try:
         map_stats = mapping.stats(pixel_map)
@@ -243,26 +274,35 @@ def cmd_map(args) -> int:
 
 def cmd_simulate(args) -> int:
     truth = json.loads(args.truth.read_text())
-    model = truth.get("model", args.model)
+    where = f"truth file {args.truth}"
+    model = _entry(truth, "model", where, str, default=args.model)
     if model != args.model:
         raise ConfigError(f"truth file is for model {model!r}, "
                           f"--model says {args.model!r}")
     arity = pulse_fit.MODEL_ARITY[args.model]
-    nx, ny = int(truth["nx"]), int(truth["ny"])
-    params = np.asarray(truth["params"], dtype=float)
+    nx = int(_entry(truth, "nx", where, _NUMBER))
+    ny = int(_entry(truth, "ny", where, _NUMBER))
+    params = _floats(truth, "params", where)
     if params.shape == (arity,):
         params = np.broadcast_to(params, (ny, nx, arity)).copy()
     elif params.shape != (ny, nx, arity):
         raise ConfigError(f"truth params must have shape ({ny}, {nx}, "
                           f"{arity}) or ({arity},), got {params.shape}")
     if "tau_s" in truth:
-        tau = np.asarray(truth["tau_s"], dtype=float)
+        tau = _floats(truth, "tau_s", where)
     else:
-        spec = truth["tau"]
-        tau = np.linspace(float(spec["start_s"]), float(spec["stop_s"]),
-                          int(spec["points"]))
-    origin = tuple(1e-6 * v for v in truth.get("origin_um", (0.0, 0.0)))
-    pitch = 1e-6 * float(truth.get("pitch_um", 50.0))
+        spec = _entry(truth, "tau", where, dict)
+        tau = np.linspace(float(_entry(spec, "start_s", where, _NUMBER)),
+                          float(_entry(spec, "stop_s", where, _NUMBER)),
+                          int(_entry(spec, "points", where, _NUMBER)))
+    origin = (0.0, 0.0)
+    if "origin_um" in truth:
+        origin = _floats(truth, "origin_um", where)
+        if origin.shape != (2,):
+            raise ConfigError(f"{where}: 'origin_um' must be two numbers")
+        origin = tuple(1e-6 * float(v) for v in origin)
+    pitch = 1e-6 * float(_entry(truth, "pitch_um", where, _NUMBER,
+                                default=50.0))
     records = mapping.synth_map(params, args.model, tau, args.noise,
                                 args.seed, origin=origin, pitch=pitch)
     out = _out_dir(args)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pulse_fit
 from .io import atomic_write
-from .pulse_fit import TimeSeries, UnidentifiableDataError
+from .pulse_fit import TimeSeries
 
 QUANTITIES = ("pi_time", "t1", "t2", "custom")
 
@@ -79,8 +79,9 @@ def assemble(records, model: str, derive=None, pitch: float | None = None,
     a regular grid.
 
     Coordinates must snap to a common grid (tolerance pitch/100); the
-    pitch is inferred from coordinate spacing when not given. Failed fits
-    leave their pixel missing.
+    pitch is inferred from coordinate spacing when not given. Records
+    that share a tau grid are fitted as one batch (`pulse_fit.fit_many`).
+    Failed fits leave their pixel missing.
     """
     records = list(records)
     if not records:
@@ -98,21 +99,20 @@ def assemble(records, model: str, derive=None, pitch: float | None = None,
     nx = int(round((np.max(xs) - x0) / pitch)) + 1
     ny = int(round((np.max(ys) - y0) / pitch)) + 1
     values = np.full((ny, nx), np.nan)
-    seen = set()
-    for x, y, series in records:
+    cells, seen = [], set()
+    for x, y, _ in records:
         ix = _snap((x - x0) / pitch, x, "x")
         iy = _snap((y - y0) / pitch, y, "y")
-        if (ix, iy) in seen:
+        if (iy, ix) in seen:
             raise ValueError(f"duplicate record at (x={x:g}, y={y:g})")
-        seen.add((ix, iy))
-        try:
-            result = pulse_fit.fit(model, series)
-        except UnidentifiableDataError:
+        seen.add((iy, ix))
+        cells.append((iy, ix))
+    results = pulse_fit.fit_many(model, [series for _, _, series in records])
+    for cell, result in zip(cells, results):
+        if result is None or not result.converged:
             continue
-        if not result.converged:
-            continue
         try:
-            values[iy, ix] = derive(result)
+            values[cell] = derive(result)
         except ValueError:
             continue
     return PixelMap(origin=(x0, y0), pitch=float(pitch), nx=nx, ny=ny,

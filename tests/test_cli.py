@@ -252,3 +252,55 @@ def test_simulate_model_mismatch(tmp_path, capsys):
                "--truth", truth)
     assert code == 2
     assert "model" in capsys.readouterr().err
+
+
+def write_manifest(tmp_path, manifest):
+    data = tmp_path / "data"
+    assert simulate(data, 0.01, 1, ny=1, nx=2) == 0
+    (data / "manifest.json").write_text(json.dumps(manifest(json.loads(
+        (data / "manifest.json").read_text()))))
+    return data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: {k: v for k, v in m.items() if k != "pixels"},
+    lambda m: {**m, "pixels": {"file": "pixel_000_000.csv"}},
+    lambda m: {**m, "pixels": [{"x_um": 0.0, "y_um": 0.0}]},
+    lambda m: {**m, "pixels": [{**m["pixels"][0], "x_um": "0"}]},
+    lambda m: {**m, "pitch_um": [50.0]},
+    lambda m: [m],
+], ids=["no-pixels", "pixels-object", "no-file", "text-x", "list-pitch",
+        "not-object"])
+def test_malformed_manifest_is_input_error(tmp_path, capsys, edit):
+    data = write_manifest(tmp_path, edit)
+    out = tmp_path / "out"
+    code = run("--out", out, "map", "--model", "t2", "--manifest", data)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "manifest" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: {k: v for k, v in t.items() if k != "nx"},
+    lambda t: {k: v for k, v in t.items() if k != "ny"},
+    lambda t: {k: v for k, v in t.items() if k != "params"},
+    lambda t: {k: v for k, v in t.items() if k != "tau"},
+    lambda t: {**t, "tau": {"start_s": 0.0, "points": 5}},
+    lambda t: {**t, "nx": [2]},
+    lambda t: {**t, "params": [1.0, {"a": 2}, 1.5]},
+    lambda t: {**t, "origin_um": [0.0]},
+    lambda t: [t],
+], ids=["no-nx", "no-ny", "no-params", "no-tau", "no-stop", "list-nx",
+        "object-param", "short-origin", "not-object"])
+def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
+    truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
+             "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}}
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(edit(truth)))
+    out = tmp_path / "out"
+    code = run("--out", out, "simulate", "--model", "t2", "--truth", path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and "truth" in err
+    assert not out.exists() or not any(out.iterdir())
