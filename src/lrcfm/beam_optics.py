@@ -6,13 +6,16 @@ radius w0. Two models for the cylinder length are supported:
 * "clipped"   -- length = min(2 * z_R, sample thickness)
 * "thickness" -- length = sample thickness
 
-All lengths in meters, powers in watts.
+All lengths in meters, powers in watts. The functions work elementwise
+when a length is a numpy array (the design sweep passes whole grids).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 VOLUME_MODELS = ("clipped", "thickness")
 
@@ -23,7 +26,7 @@ def rayleigh_length(w0: float, wavelength: float) -> float:
     """Rayleigh length pi * w0**2 / lambda of a Gaussian beam."""
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if w0 < 0:
+    if np.less(w0, 0).any():
         raise ValueError(f"waist radius must be non-negative, got {w0}")
     return math.pi * w0 * w0 / wavelength
 
@@ -43,7 +46,7 @@ def focal_length_for_rayleigh(zr: float, beam_diameter: float,
     given Rayleigh length from a beam of diameter D."""
     _require_positive(rayleigh_length=zr, beam_diameter=beam_diameter,
                       wavelength=wavelength)
-    return 0.5 * beam_diameter * math.sqrt(zr * math.pi / wavelength)
+    return 0.5 * beam_diameter * np.sqrt(zr * math.pi / wavelength)
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ def excitation_region(w0: float, sample_thickness: float, laser_power: float,
         raise ValueError(f"unknown volume model {model!r}; "
                          f"expected one of {VOLUME_MODELS}")
     if model == "clipped":
-        length = min(2.0 * rayleigh_length(w0, wavelength), sample_thickness)
+        length = np.minimum(2.0 * rayleigh_length(w0, wavelength),
+                            sample_thickness)
     else:
         length = sample_thickness
     area = math.pi * w0 * w0
@@ -123,5 +127,5 @@ def excitation_region(w0: float, sample_thickness: float, laser_power: float,
 
 def _require_positive(**values):
     for name, value in values.items():
-        if value <= 0:
+        if np.less_equal(value, 0).any():
             raise ValueError(f"{name} must be positive, got {value}")

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: design, sweep, fit, map, simulate. Exit codes: 0 success,
-2 input/config error, 3 numerical failure, 4 usage error.
+2 input/config error or an output that cannot be written (any OSError,
+such as a full disk or an --out that names a file), 3 numerical failure,
+4 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import beam_optics, collection, designer, mapping, pulse_fit
 from .config import ConfigError, load_config
 from .io import atomic_write
-from .units import UnitError, parse_quantity
+from .units import parse_quantity
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -29,6 +31,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--variable", required=True,
                    choices=["rayleigh", "waist", "detection-proportion"])
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--points", type=positive_int, default=None)
     p.add_argument("--min", dest="grid_min", default=None,
                    help="grid start, with unit for length variables "
                         "(e.g. '1 um')")
@@ -98,10 +108,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, UnitError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, UnitError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
@@ -176,6 +183,10 @@ def cmd_design(args) -> int:
         report["fiber_detection_proportion"] = collection.detection_proportion(
             cfg.fiber_core_diameter / 2.0, cfg.fiber_magnification,
             choice.waist_radius)
+    conditions = [row.condition_number for row in opt.rows]
+    report["steady_state_condition_min"] = min(conditions)
+    report["steady_state_condition_max"] = max(conditions)
+    report["golden_evaluations"] = opt.golden_evaluations
     atomic_write(out / "design_report.json",
                  json.dumps(report, indent=2) + "\n")
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "

@@ -5,6 +5,9 @@ The NA-to-collected-fraction map assumes one-sided isotropic point
 emission: the fraction of photons inside the collection cone of
 half-angle theta is (1 - cos(theta)) / 2. The detection rate is that
 fraction normalized to NA = 1, which simplifies to 1 - sqrt(1 - NA^2).
+
+`merit` is the one detected-signal formula: `figure_of_merit` applies it
+to one beam, and the design sweep to whole arrays of focal lengths.
 """
 
 from __future__ import annotations
@@ -12,22 +15,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .beam_optics import BeamGeometry, ExcitationRegion
-from .nv_rates import NvRateSet, PumpModel, cw_fluorescence, polarization, steady_state
+from .nv_rates import (NvRateSet, PumpModel, cw_fluorescence, polarization,
+                       steady_states)
 
 
-def numerical_aperture(lens_radius: float, focal_length: float) -> float:
-    """NA = sin(arctan(lens_radius / focal_length))."""
-    if lens_radius <= 0 or focal_length <= 0:
+def numerical_aperture(lens_radius, focal_length):
+    """NA = sin(arctan(lens_radius / focal_length)), elementwise on
+    arrays."""
+    if np.less_equal(lens_radius, 0).any() or \
+            np.less_equal(focal_length, 0).any():
         raise ValueError("lens radius and focal length must be positive")
-    return math.sin(math.atan(lens_radius / focal_length))
+    ratio = np.divide(lens_radius, focal_length)
+    # math per element: numpy's SIMD arctan is not correctly rounded, so
+    # its last bit would depend on the CPU
+    na = [math.sin(math.atan(x)) for x in ratio.ravel().tolist()]
+    return np.reshape(na, ratio.shape)[()]
 
 
-def detection_rate(na: float) -> float:
-    """Collected solid-angle fraction relative to an NA = 1 objective."""
-    if not 0.0 < na <= 1.0:
+def detection_rate(na):
+    """Collected solid-angle fraction relative to an NA = 1 objective,
+    elementwise on arrays."""
+    if not (np.greater(na, 0.0) & np.less_equal(na, 1.0)).all():
         raise ValueError(f"NA must be in (0, 1], got {na}")
-    return 1.0 - math.sqrt(1.0 - na * na)
+    return 1.0 - np.sqrt(1.0 - na * na)
 
 
 def detection_proportion(core_radius: float, magnification: float,
@@ -63,33 +76,43 @@ class FigureOfMerit:
     detection_rate: float
     detection_proportion: float
     detected_signal: float
+    condition_number: float | None = None  # of the steady-state system
+
+
+def merit(volume, power_density, detection, rates: NvRateSet,
+          pump: PumpModel, proportion: float = 1.0,
+          density: float = 1.0) -> FigureOfMerit:
+    """Detected signal = volume * I_cw * P * detection rate * detection
+    proportion * center density, with the rate model evaluated at the mean
+    power density. Elementwise on arrays of volume, power density and
+    detection rate; the steady states are one batched solve."""
+    if not 0.0 < proportion <= 1.0:
+        raise ValueError(f"detection proportion must be in (0, 1], got {proportion}")
+    if density <= 0:
+        raise ValueError(f"center density must be positive, got {density}")
+    ss = steady_states(rates, pump, power_density)
+    i_cw = cw_fluorescence(ss, rates)
+    pol = polarization(ss)
+    return FigureOfMerit(
+        detection_volume=volume,
+        i_cw=i_cw,
+        polarization=pol,
+        detection_rate=detection,
+        detection_proportion=proportion,
+        detected_signal=volume * i_cw * pol * detection * proportion * density,
+        condition_number=ss.condition_number,
+    )
 
 
 def figure_of_merit(beam: BeamGeometry, region: ExcitationRegion,
                     rates: NvRateSet, pump: PumpModel,
                     coll: CollectionGeometry, proportion: float = 1.0,
                     density: float = 1.0) -> FigureOfMerit:
-    """Detected signal = volume * I_cw * P * detection rate * detection
-    proportion * center density, with the rate model evaluated at the
-    excitation region's mean power density."""
-    if not 0.0 < proportion <= 1.0:
-        raise ValueError(f"detection proportion must be in (0, 1], got {proportion}")
-    if density <= 0:
-        raise ValueError(f"center density must be positive, got {density}")
+    """The detected-signal figure of merit (`merit`) of one beam, its
+    excitation region and its collection lens."""
     if not math.isclose(beam.waist_radius, region.waist_radius,
                         rel_tol=1e-9):
         raise ValueError("beam and excitation region disagree on the waist "
                          f"radius: {beam.waist_radius} vs {region.waist_radius}")
-    ss = steady_state(rates, pump, region.mean_power_density)
-    i_cw = cw_fluorescence(ss, rates)
-    pol = polarization(ss)
-    detected = (region.volume * i_cw * pol * coll.detection_rate
-                * proportion * density)
-    return FigureOfMerit(
-        detection_volume=region.volume,
-        i_cw=i_cw,
-        polarization=pol,
-        detection_rate=coll.detection_rate,
-        detection_proportion=proportion,
-        detected_signal=detected,
-    )
+    return merit(region.volume, region.mean_power_density,
+                 coll.detection_rate, rates, pump, proportion, density)

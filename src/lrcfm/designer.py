@@ -5,13 +5,19 @@ volume, the CW fluorescence per center, the spin polarization, their
 product, the NA-limited detection rate, and the detected-signal figure
 of merit. The optimum Rayleigh length is the grid argmax refined by
 golden-section search.
+
+Every evaluation goes through one array core, `_evaluate`: it takes an
+array of excitation focal lengths and computes every factor for all of
+them at once, with one batched steady-state solve. A sweep is one call
+on its whole grid, a lens recommendation one call on the catalog, and
+`evaluate_at_rayleigh` (the golden-section step) a call on one point.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +66,9 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point: the sweep.csv columns, plus the condition number
+    of its steady-state system (not written)."""
+
     variable: float
     volume_m3: float
     icw: float
@@ -67,6 +76,7 @@ class SweepRow:
     product: float
     detection_rate: float
     detected_signal: float
+    condition_number: float
 
     def astuple(self):
         return (self.variable, self.volume_m3, self.icw, self.polarization,
@@ -99,51 +109,60 @@ def default_catalog() -> LensCatalog:
                              / "lens_catalog.csv")
 
 
-def _evaluate(beam: beam_optics.BeamGeometry, lens_radius: float,
+def _evaluate(focal, lens_radius,
               ctx: SweepContext) -> collection.FigureOfMerit:
-    """Figure of merit for one excitation beam behind a collection lens of
-    the given radius at the beam's focal length."""
+    """Figure of merit, elementwise, for excitation lenses of the given
+    focal lengths (an array), each behind a collection lens of radius
+    lens_radius (scalar or one per focal length) at the same focal length.
+    Every field of the result is an array."""
+    w0 = beam_optics.waist_from_lens(focal, ctx.incident_beam_diameter,
+                                     ctx.wavelength)
     region = beam_optics.excitation_region(
-        beam.waist_radius, ctx.sample_thickness, ctx.laser_power,
-        ctx.wavelength, model=ctx.volume_model)
-    coll = collection.CollectionGeometry.from_lens(lens_radius,
-                                                   beam.focal_length)
-    return collection.figure_of_merit(beam, region, ctx.rates, ctx.pump,
-                                      coll, density=ctx.density)
+        w0, ctx.sample_thickness, ctx.laser_power, ctx.wavelength,
+        model=ctx.volume_model)
+    na = collection.numerical_aperture(lens_radius, focal)
+    return collection.merit(region.volume, region.mean_power_density,
+                            collection.detection_rate(na), ctx.rates,
+                            ctx.pump, density=ctx.density)
+
+
+def _sweep_rows(variable, zr, ctx: SweepContext) -> list[SweepRow]:
+    """One row per Rayleigh length in the array zr, labelled with the
+    matching entry of variable."""
+    fom = _evaluate(beam_optics.focal_length_for_rayleigh(
+        zr, ctx.incident_beam_diameter, ctx.wavelength), ctx.lens_radius, ctx)
+    product = fom.detection_volume * fom.i_cw * fom.polarization
+    columns = (variable, fom.detection_volume, fom.i_cw, fom.polarization,
+               product, fom.detection_rate, fom.detected_signal,
+               fom.condition_number)
+    return [SweepRow(*values)
+            for values in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
     """Figure-of-merit factors for one Rayleigh length."""
-    beam = beam_optics.BeamGeometry.from_rayleigh_length(
-        ctx.wavelength, ctx.incident_beam_diameter, zr)
-    fom = _evaluate(beam, ctx.lens_radius, ctx)
-    return SweepRow(
-        variable=zr,
-        volume_m3=fom.detection_volume,
-        icw=fom.i_cw,
-        polarization=fom.polarization,
-        product=fom.detection_volume * fom.i_cw * fom.polarization,
-        detection_rate=fom.detection_rate,
-        detected_signal=fom.detected_signal,
-    )
+    (row,) = _sweep_rows([zr], np.array([zr], dtype=float), ctx)
+    return row
 
 
 def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the figure of merit on the grid, one row per point."""
-    rows = []
-    for value in spec.grid:
-        zr = value
-        if spec.variable == "waist_radius":
-            zr = beam_optics.rayleigh_length(value, spec.context.wavelength)
-        try:
-            row = evaluate_at_rayleigh(zr, spec.context)
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(
-                f"sweep failed at {spec.variable} = {value:g}: {exc}") from exc
-        if spec.variable == "waist_radius":
-            row = replace(row, variable=value)
-        rows.append(row)
-    return rows
+    """Evaluate the figure of merit on the grid, one row per point, in one
+    call of the array core."""
+    grid = np.array(spec.grid, dtype=float)
+    zr = grid
+    if spec.variable == "waist_radius":
+        zr = beam_optics.rayleigh_length(grid, spec.context.wavelength)
+    try:
+        return _sweep_rows(grid, zr, spec.context)
+    except (ValueError, ArithmeticError):
+        # every factor is elementwise: name the first point that fails alone
+        for k, value in enumerate(grid):
+            try:
+                _sweep_rows(grid[k:k + 1], zr[k:k + 1], spec.context)
+            except (ValueError, ArithmeticError) as exc:
+                raise type(exc)(f"sweep failed at {spec.variable} = "
+                                f"{value:g}: {exc}") from exc
+        raise
 
 
 @dataclass(frozen=True)
@@ -152,6 +171,7 @@ class OptimalResult:
     detected_signal: float
     unimodal: bool
     rows: tuple[SweepRow, ...] = field(repr=False)
+    golden_evaluations: int = 0
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -167,7 +187,8 @@ def optimal_rayleigh(spec: SweepSpec) -> OptimalResult:
     search between the neighboring grid points (relative tolerance 1e-4).
     Ties break toward smaller Rayleigh length. If the grid profile is not
     unimodal the result carries unimodal=False and no refinement is done.
-    The swept grid rows come back in the result.
+    The swept grid rows come back in the result, with the number of
+    points the golden-section search evaluated.
     """
     if spec.variable != "rayleigh_length":
         raise ValueError("optimal_rayleigh requires a rayleigh_length sweep")
@@ -184,18 +205,22 @@ def optimal_rayleigh(spec: SweepSpec) -> OptimalResult:
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
     fun = lambda zr: evaluate_at_rayleigh(zr, spec.context).detected_signal
-    zr_star, f_star = _golden_max(fun, lo, hi, rtol=1e-4)
+    zr_star, f_star, evaluations = _golden_max(fun, lo, hi, rtol=1e-4)
     if f_star < signal[i]:
         zr_star, f_star = float(grid[i]), float(signal[i])
-    return OptimalResult(zr_star, f_star, True, rows)
+    return OptimalResult(zr_star, f_star, True, rows, evaluations)
 
 
-def _golden_max(fun, lo: float, hi: float, rtol: float) -> tuple[float, float]:
+def _golden_max(fun, lo: float, hi: float,
+                rtol: float) -> tuple[float, float, int]:
+    """(argmax, max, number of evaluations) of fun on [lo, hi]."""
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
+    evaluations = 2
     while (b - a) > rtol * b:
+        evaluations += 1
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -205,7 +230,7 @@ def _golden_max(fun, lo: float, hi: float, rtol: float) -> tuple[float, float]:
             d = a + GOLDEN * (b - a)
             fd = fun(d)
     x = c if fc >= fd else d
-    return float(x), float(max(fc, fd))
+    return float(x), float(max(fc, fd)), evaluations
 
 
 @dataclass(frozen=True)
@@ -217,33 +242,43 @@ class LensChoice:
     rayleigh_length: float
 
 
+def _lens_choices(names, focal, lens_radius,
+                  ctx: SweepContext) -> list[LensChoice]:
+    """LensChoice for each lens (arrays of focal lengths and radii), from
+    one call of the array core."""
+    fom = _evaluate(focal, lens_radius, ctx)
+    w0 = beam_optics.waist_from_lens(focal, ctx.incident_beam_diameter,
+                                     ctx.wavelength)
+    zr = beam_optics.rayleigh_length(w0, ctx.wavelength)
+    return [LensChoice(*values) for values in zip(
+        names, focal.tolist(), fom.detected_signal.tolist(), w0.tolist(),
+        zr.tolist())]
+
+
 def evaluate_lens(focal_length: float, diameter: float,
                   ctx: SweepContext) -> LensChoice:
-    beam = beam_optics.BeamGeometry.from_focal_length(
-        ctx.wavelength, ctx.incident_beam_diameter, focal_length)
-    fom = _evaluate(beam, diameter / 2.0, ctx)
-    return LensChoice("", focal_length, fom.detected_signal,
-                      beam.waist_radius, beam.rayleigh_length)
+    (choice,) = _lens_choices([""], np.array([focal_length], dtype=float),
+                              np.array([diameter / 2.0]), ctx)
+    return choice
 
 
 def recommend_lens(catalog: LensCatalog, spec: SweepSpec) -> LensChoice:
-    """Exhaustively evaluate the detected signal for every catalog lens and
-    return the best one. Ties break toward the shorter focal length, then
-    by name ordering."""
+    """Evaluate the detected signal for every catalog lens, in one call of
+    the array core, and return the best one. Ties break toward the shorter
+    focal length, then by name ordering."""
     if not catalog.entries:
         raise ValueError("empty lens catalog")
-    focal_seen = {}
-    best = None
+    lenses = {}  # focal length -> (name, diameter)
     for name, f, d in sorted(catalog.entries, key=lambda e: (e[1], e[0])):
-        if f in focal_seen:
-            warnings.warn(f"lens {name!r} duplicates {focal_seen[f]!r} "
+        if f in lenses:
+            warnings.warn(f"lens {name!r} duplicates {lenses[f][0]!r} "
                           "(same focal length)")
             continue
-        focal_seen[f] = name
-        choice = replace(evaluate_lens(f, d, spec.context), name=name)
-        if best is None or choice.detected_signal > best.detected_signal:
-            best = choice
-    return best
+        lenses[f] = (name, d)
+    names, diameters = zip(*lenses.values())
+    choices = _lens_choices(names, np.array(list(lenses), dtype=float),
+                            np.array(diameters) / 2.0, spec.context)
+    return max(choices, key=lambda choice: choice.detected_signal)
 
 
 def cfm_comparison(spec: SweepSpec, cfm_focal: float,

@@ -13,11 +13,16 @@ normalization sum(rho) = 1:
     d rho33/dt =  G rho11 - (k31 + k32 + k35) rho33
     d rho44/dt =  G rho22 - (k41 + k42 + k45) rho44
     d rho55/dt =  k35 rho33 + k45 rho44 - (k51 + k52) rho55
+
+`steady_states` solves a whole array of power densities as one stack of
+5x5 systems and returns a SteadyState of arrays; `steady_state` is the
+same solve at one power density. `cw_fluorescence` and `polarization`
+work elementwise on either.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +84,8 @@ class PumpModel:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """Steady-state populations rho_ii; sums to 1."""
+    """Steady-state populations rho_ii; sums to 1. From `steady_states`
+    each field is an array with one entry per power density."""
 
     rho11: float
     rho22: float
@@ -93,46 +99,71 @@ class SteadyState:
                          self.rho44, self.rho55])
 
 
-def rate_matrix(rates: NvRateSet, gamma: float) -> np.ndarray:
-    """Generator A of the population ODE d(rho)/dt = A rho."""
+def rate_matrix(rates: NvRateSet, gamma) -> np.ndarray:
+    """Generator A of the population ODE d(rho)/dt = A rho. For an array
+    of pump rates, a stack of generators of shape gamma.shape + (5, 5)."""
     r = rates
-    return np.array([
-        [-gamma, 0.0, r.k31, r.k41, r.k51],
-        [0.0, -gamma, r.k32, r.k42, r.k52],
-        [gamma, 0.0, -r.excited0_decay, 0.0, 0.0],
-        [0.0, gamma, 0.0, -r.excited1_decay, 0.0],
+    gamma = np.asarray(gamma, dtype=float)
+    a = np.empty(gamma.shape + (5, 5))
+    a[...] = [
+        [0.0, 0.0, r.k31, r.k41, r.k51],
+        [0.0, 0.0, r.k32, r.k42, r.k52],
+        [0.0, 0.0, -r.excited0_decay, 0.0, 0.0],
+        [0.0, 0.0, 0.0, -r.excited1_decay, 0.0],
         [0.0, 0.0, r.k35, r.k45, -r.singlet_decay],
-    ])
+    ]
+    a[..., 0, 0] = a[..., 1, 1] = -gamma
+    a[..., 2, 0] = a[..., 3, 1] = gamma
+    return a
 
 
-def steady_state(rates: NvRateSet, pump: PumpModel,
-                 power_density: float) -> SteadyState:
-    """Unique steady state of the pumped five-level system.
+def steady_states(rates: NvRateSet, pump: PumpModel,
+                  power_density) -> SteadyState:
+    """Unique steady states of the pumped five-level system for an array
+    of power densities, returned as one SteadyState whose fields are
+    arrays of the same shape (scalars for a scalar power density).
 
-    Solved by replacing the first (redundant) row of the rate matrix with
-    the normalization constraint and solving the dense 5x5 system.
+    Each system is solved by replacing the first (redundant) row of the
+    rate matrix with the normalization constraint; the whole stack of
+    dense 5x5 systems goes through one batched solve, and one batched SVD
+    gives the condition numbers.
     """
-    if power_density <= 0:
+    power_density = np.asarray(power_density, dtype=float)
+    if (power_density <= 0).any():
         raise ValueError(
             "degenerate steady state: power_density must be strictly "
             "positive (with no pumping the ground-state split is "
             "undetermined)")
     gamma = pump.pump_rate(power_density)
     a = rate_matrix(rates, gamma)
-    a[0, :] = 1.0  # normalization row replaces one redundant balance row
-    b = np.zeros(5)
-    b[0] = 1.0
-    cond = float(np.linalg.cond(a))
+    a[..., 0, :] = 1.0  # normalization row replaces one redundant balance row
+    b = np.zeros(a.shape[:-1] + (1,))
+    b[..., 0, 0] = 1.0
+    cond = np.linalg.cond(a)
     try:
         rho = np.linalg.solve(a, b)
         # one step of iterative refinement; the system is badly
         # conditioned when the pump is far slower than the decay rates
         rho += np.linalg.solve(a, b - a @ rho)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(
-            f"singular steady-state system (cond={cond:.3e}, "
-            f"gamma={gamma:.3e} Hz)") from exc
-    return SteadyState(*rho, condition_number=cond)
+    except np.linalg.LinAlgError:
+        for i in np.ndindex(np.shape(gamma)):  # name the first singular one
+            try:
+                np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError as exc:
+                raise ArithmeticError(
+                    f"singular steady-state system (cond={cond[i]:.3e}, "
+                    f"gamma={gamma[i]:.3e} Hz)") from exc
+        raise
+    return SteadyState(*(rho[..., k, 0] for k in range(5)),
+                       condition_number=cond)
+
+
+def steady_state(rates: NvRateSet, pump: PumpModel,
+                 power_density: float) -> SteadyState:
+    """Unique steady state of the pumped five-level system at one power
+    density: `steady_states` at a scalar power density."""
+    ss = steady_states(rates, pump, power_density)
+    return replace(ss, condition_number=float(ss.condition_number))
 
 
 def cw_fluorescence(ss: SteadyState, rates: NvRateSet) -> float:
@@ -151,7 +182,7 @@ def polarization(ss: SteadyState) -> float:
     """Normalized ground-state population imbalance
     (rho11 - rho22) / (rho11 + rho22), in [-1, 1]."""
     total = ss.rho11 + ss.rho22
-    if total <= 0:
+    if np.less_equal(total, 0).any():
         raise ValueError("polarization undefined: empty ground manifold")
     return (ss.rho11 - ss.rho22) / total
 

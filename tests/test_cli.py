@@ -8,6 +8,7 @@ import pytest
 import lrcfm
 from lrcfm import designer, pulse_fit
 from lrcfm.cli import main
+from lrcfm.config import load_config
 
 
 @pytest.fixture()
@@ -28,6 +29,9 @@ def test_usage_errors():
     assert run("design") == 4  # missing --config
     assert run("fit", "--model", "t3", "--input", "x.csv") == 4
     assert run("--threads", "2", "design", "--config", "x.txt") == 4
+    for points in ("0", "-3"):
+        assert run("sweep", "--config", "x.txt", "--variable", "rayleigh",
+                   "--points", points) == 4
 
 
 def test_missing_config_is_input_error(tmp_path, capsys):
@@ -70,21 +74,43 @@ def test_design_end_to_end(config_dir, tmp_path, capsys):
 
 def test_design_sweeps_once(config_dir, tmp_path, monkeypatch):
     config = config_dir / "example_config.txt"
-    calls = []
-    evaluate = designer.evaluate_at_rayleigh
+    points = []
+    rows = designer._sweep_rows
 
-    def counting(zr, ctx):
-        calls.append(zr)
-        return evaluate(zr, ctx)
+    def counting(variable, zr, ctx):
+        points.extend(zr)
+        return rows(variable, zr, ctx)
 
-    monkeypatch.setattr(designer, "evaluate_at_rayleigh", counting)
+    monkeypatch.setattr(designer, "_sweep_rows", counting)
     assert run("--out", tmp_path / "design", "design", "--config", config) == 0
     # one 200-point grid sweep plus the golden-section refinement
-    assert 200 < len(calls) < 400
+    assert 200 < len(points) < 400
     assert run("--out", tmp_path / "sweep", "sweep", "--config", config,
                "--variable", "rayleigh") == 0
     assert (tmp_path / "design" / "sweep.csv").read_bytes() == \
         (tmp_path / "sweep" / "sweep.csv").read_bytes()
+
+
+def test_design_report_diagnostics(config_dir, tmp_path, monkeypatch):
+    config = config_dir / "example_config.txt"
+    golden = []
+    evaluate = designer.evaluate_at_rayleigh
+
+    def counting(zr, ctx):
+        golden.append(zr)
+        return evaluate(zr, ctx)
+
+    monkeypatch.setattr(designer, "evaluate_at_rayleigh", counting)
+    assert run("--out", tmp_path, "design", "--config", config) == 0
+    report = json.loads((tmp_path / "design_report.json").read_text())
+    cfg = load_config(config)
+    rows = designer.sweep(designer.SweepSpec(
+        "rayleigh_length", cfg.sweep_grid(), cfg.sweep_context()))
+    conditions = [row.condition_number for row in rows]
+    assert report["steady_state_condition_min"] == min(conditions)
+    assert report["steady_state_condition_max"] == max(conditions)
+    assert 1.0 < min(conditions) < max(conditions)
+    assert report["golden_evaluations"] == len(golden) > 2
 
 
 def test_design_default_catalog(config_dir, tmp_path):
@@ -102,7 +128,7 @@ def test_design_default_catalog(config_dir, tmp_path):
 
 
 def test_failed_write_keeps_previous_output(config_dir, tmp_path,
-                                            monkeypatch):
+                                            monkeypatch, capsys):
     out = tmp_path / "out"
     argv = ("--out", out, "design", "--config",
             config_dir / "example_config.txt")
@@ -113,9 +139,16 @@ def test_failed_write_keeps_previous_output(config_dir, tmp_path,
         raise OSError("simulated rename failure")
 
     monkeypatch.setattr(pathlib.Path, "replace", failing_replace)
-    with pytest.raises(OSError, match="simulated"):
-        run(*argv)
+    assert run(*argv) == 2
+    assert "simulated rename failure" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # --out naming a file: mkdir fails with FileExistsError
+    blocked = tmp_path / "blocked"
+    blocked.write_text("not a directory\n")
+    assert run("--out", blocked, *argv[2:]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(blocked) in err
+    assert blocked.read_text() == "not a directory\n"
 
 
 def test_sweep_csv_repeatable(config_dir, tmp_path):
