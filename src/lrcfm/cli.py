@@ -9,6 +9,7 @@ such as a full disk or an --out that names a file), 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -93,10 +94,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     handler = {
@@ -108,12 +114,13 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError) as exc:  # ConfigError, UnitError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    # first: np.linalg.LinAlgError is a ValueError subclass
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:  # ConfigError, UnitError included
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 _NUMBER = (int, float)
@@ -136,12 +143,16 @@ def _entry(obj, key: str, where: str, kind, default=None):
 
 
 def _floats(obj, key: str, where: str) -> np.ndarray:
-    """obj[key] as a float array: a number or a (nested) list of numbers."""
+    """obj[key] as a float array: a finite number or a (nested) list of
+    finite numbers."""
     value = _entry(obj, key, where, (list, *_NUMBER))
     try:
-        return np.asarray(value, dtype=float)
+        values = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{where}: {key!r} must hold numbers") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{where}: {key!r} must hold finite numbers")
+    return values
 
 
 def _out_dir(args, cfg=None) -> Path:

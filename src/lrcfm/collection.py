@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beam_optics import BeamGeometry, ExcitationRegion
+from .lazy import Deferred, LazyField
 from .nv_rates import (NvRateSet, PumpModel, cw_fluorescence, polarization,
                        steady_states)
 
@@ -76,7 +77,8 @@ class FigureOfMerit:
     detection_rate: float
     detection_proportion: float
     detected_signal: float
-    condition_number: float | None = None  # of the steady-state system
+    # of the steady-state system, computed when first read
+    condition_number: float | None = LazyField()
 
 
 def merit(volume, power_density, detection, rates: NvRateSet,
@@ -100,7 +102,7 @@ def merit(volume, power_density, detection, rates: NvRateSet,
         detection_rate=detection,
         detection_proportion=proportion,
         detected_signal=volume * i_cw * pol * detection * proportion * density,
-        condition_number=ss.condition_number,
+        condition_number=Deferred(lambda: ss.condition_number),
     )
 
 

@@ -10,6 +10,7 @@ Relative paths are resolved against the config file's directory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -108,18 +109,24 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
             result = parse_quantity(value, kind)
         except UnitError as exc:
             raise ConfigError(f"{source}:{lineno}: field {key!r}: {exc}") from exc
-        if result <= 0:
-            raise ConfigError(f"{source}:{lineno}: {key} must be positive")
+        if not 0 < result < math.inf:
+            raise ConfigError(f"{source}:{lineno}: {key} must be positive "
+                              "and finite")
         return result
 
-    def number(key, default=None):
+    def number(key, default=None, positive=False):
         if key not in raw:
             return default
         lineno, value = raw[key]
         try:
-            return parse_number(value)
+            result = parse_number(value)
         except UnitError as exc:
             raise ConfigError(f"{source}:{lineno}: field {key!r}: {exc}") from exc
+        if not math.isfinite(result):
+            raise ConfigError(f"{source}:{lineno}: {key} must be finite")
+        if positive and result <= 0:
+            raise ConfigError(f"{source}:{lineno}: {key} must be positive")
+        return result
 
     rates_lineno, rates_value = raw["rates"]
     rates_path = (base_dir / rates_value).resolve()
@@ -172,7 +179,7 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
         lens_radius=quantity("lens.radius", "length"),
         catalog=catalog,
         fiber_core_diameter=quantity("fiber.core_diameter", "length"),
-        fiber_magnification=number("fiber.magnification"),
+        fiber_magnification=number("fiber.magnification", positive=True),
         volume_model=volume_model,
         sweep_points=int(points),
         sweep_min=quantity("sweep.min", "length", 1e-6),

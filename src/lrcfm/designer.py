@@ -10,7 +10,13 @@ Every evaluation goes through one array core, `_evaluate`: it takes an
 array of excitation focal lengths and computes every factor for all of
 them at once, with one batched steady-state solve. A sweep is one call
 on its whole grid, a lens recommendation one call on the catalog, and
-`evaluate_at_rayleigh` (the golden-section step) a call on one point.
+`evaluate_at_rayleigh` a call on one point. The golden-section search
+calls the core once per `_LOOKAHEAD` steps, on every point those steps
+could ask for, and then walks its comparisons through the values; the
+core is elementwise, so the search is the same as one point per call.
+The steady-state condition numbers (one batched SVD) are computed only
+for the rows of a sweep: `sweep`, `evaluate_at_rayleigh`, and the `rows`
+of an `optimal_rayleigh` result, which are built when first read.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -31,6 +38,9 @@ SWEEP_HEADER = ("variable", "volume_m3", "icw", "polarization", "product",
                 "detection_rate", "detected_signal")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# golden-section steps per call of the array core: the call evaluates the
+# 2**_LOOKAHEAD - 1 points that any branch of the next steps can reach
+_LOOKAHEAD = 5
 
 
 @dataclass(frozen=True)
@@ -126,11 +136,15 @@ def _evaluate(focal, lens_radius,
                             ctx.pump, density=ctx.density)
 
 
-def _sweep_rows(variable, zr, ctx: SweepContext) -> list[SweepRow]:
-    """One row per Rayleigh length in the array zr, labelled with the
-    matching entry of variable."""
-    fom = _evaluate(beam_optics.focal_length_for_rayleigh(
+def _at_rayleigh(zr, ctx: SweepContext) -> collection.FigureOfMerit:
+    """The array core at an array of Rayleigh lengths."""
+    return _evaluate(beam_optics.focal_length_for_rayleigh(
         zr, ctx.incident_beam_diameter, ctx.wavelength), ctx.lens_radius, ctx)
+
+
+def _rows(variable, fom: collection.FigureOfMerit) -> list[SweepRow]:
+    """One row per entry of the arrays of fom, labelled with the matching
+    entry of variable. Reads the condition numbers."""
     product = fom.detection_volume * fom.i_cw * fom.polarization
     columns = (variable, fom.detection_volume, fom.i_cw, fom.polarization,
                product, fom.detection_rate, fom.detected_signal,
@@ -141,37 +155,50 @@ def _sweep_rows(variable, zr, ctx: SweepContext) -> list[SweepRow]:
 
 def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
     """Figure-of-merit factors for one Rayleigh length."""
-    (row,) = _sweep_rows([zr], np.array([zr], dtype=float), ctx)
+    (row,) = _rows([zr], _at_rayleigh(np.array([zr], dtype=float), ctx))
     return row
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the figure of merit on the grid, one row per point, in one
-    call of the array core."""
+def _sweep_merit(spec: SweepSpec):
+    """(grid, figure of merit on it), from one call of the array core."""
     grid = np.array(spec.grid, dtype=float)
     zr = grid
     if spec.variable == "waist_radius":
         zr = beam_optics.rayleigh_length(grid, spec.context.wavelength)
     try:
-        return _sweep_rows(grid, zr, spec.context)
+        return grid, _at_rayleigh(zr, spec.context)
     except (ValueError, ArithmeticError):
         # every factor is elementwise: name the first point that fails alone
         for k, value in enumerate(grid):
             try:
-                _sweep_rows(grid[k:k + 1], zr[k:k + 1], spec.context)
+                _at_rayleigh(zr[k:k + 1], spec.context)
             except (ValueError, ArithmeticError) as exc:
                 raise type(exc)(f"sweep failed at {spec.variable} = "
                                 f"{value:g}: {exc}") from exc
         raise
 
 
+def sweep(spec: SweepSpec) -> list[SweepRow]:
+    """Evaluate the figure of merit on the grid, one row per point, in one
+    call of the array core."""
+    return _rows(*_sweep_merit(spec))
+
+
 @dataclass(frozen=True)
 class OptimalResult:
+    """The optimum Rayleigh length, and the sweep it was found on: `rows`
+    (with their condition numbers) are built when first read."""
+
     rayleigh_length: float
     detected_signal: float
     unimodal: bool
-    rows: tuple[SweepRow, ...] = field(repr=False)
+    grid: np.ndarray = field(repr=False, compare=False)
+    merit: collection.FigureOfMerit = field(repr=False, compare=False)
     golden_evaluations: int = 0
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        return tuple(_rows(self.grid, self.merit))
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -187,48 +214,83 @@ def optimal_rayleigh(spec: SweepSpec) -> OptimalResult:
     search between the neighboring grid points (relative tolerance 1e-4).
     Ties break toward smaller Rayleigh length. If the grid profile is not
     unimodal the result carries unimodal=False and no refinement is done.
-    The swept grid rows come back in the result, with the number of
-    points the golden-section search evaluated.
+    The swept grid comes back in the result, with the number of points
+    the golden-section search evaluated.
     """
     if spec.variable != "rayleigh_length":
         raise ValueError("optimal_rayleigh requires a rayleigh_length sweep")
-    rows = tuple(sweep(spec))
-    signal = np.array([r.detected_signal for r in rows])
-    grid = np.array([r.variable for r in rows])
+    grid, fom = _sweep_merit(spec)
+    signal = fom.detected_signal
     i = int(np.argmax(signal))  # first occurrence: ties go to smaller zR
     if grid.size == 1:
-        return OptimalResult(float(grid[0]), float(signal[0]), True, rows)
+        return OptimalResult(float(grid[0]), float(signal[0]), True, grid,
+                             fom)
     if _sign_changes(signal) > 1:
         warnings.warn("detected signal is not unimodal on the sweep grid; "
                       "returning the grid argmax without refinement")
-        return OptimalResult(float(grid[i]), float(signal[i]), False, rows)
+        return OptimalResult(float(grid[i]), float(signal[i]), False, grid,
+                             fom)
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    fun = lambda zr: evaluate_at_rayleigh(zr, spec.context).detected_signal
-    zr_star, f_star, evaluations = _golden_max(fun, lo, hi, rtol=1e-4)
+    zr_star, f_star, evaluations = _golden_max(
+        lambda zr: _at_rayleigh(zr, spec.context).detected_signal, lo, hi,
+        rtol=1e-4)
     if f_star < signal[i]:
         zr_star, f_star = float(grid[i]), float(signal[i])
-    return OptimalResult(zr_star, f_star, True, rows, evaluations)
+    return OptimalResult(zr_star, f_star, True, grid, fom, evaluations)
+
+
+def _golden_step(a, b, c, d, left: bool):
+    """One golden-section step on the bracket [a, b] with interior points
+    c < d: keep [a, d] if left (f(c) >= f(d)), else [c, b]. Returns the
+    new bracket and interior points, and the new point to evaluate."""
+    if left:
+        b, d = d, c
+        c = b - GOLDEN * (b - a)
+        return a, b, c, d, c
+    a, c = c, d
+    d = a + GOLDEN * (b - a)
+    return a, b, c, d, d
 
 
 def _golden_max(fun, lo: float, hi: float,
                 rtol: float) -> tuple[float, float, int]:
-    """(argmax, max, number of evaluations) of fun on [lo, hi]."""
+    """(argmax, max, number of evaluations) of fun on [lo, hi] by
+    golden-section search until the bracket is narrower than rtol times
+    its upper end. fun maps an array of points to their values.
+
+    Each call of fun after the first takes the points of the next
+    `_LOOKAHEAD` steps for every outcome of their comparisons, as a heap:
+    node 0 is the next step, whose direction is known, and node j's
+    children 2j+1 and 2j+2 are the steps after it if its new point wins
+    (f(c) >= f(d)) or loses. The search then walks the path the real
+    comparisons take. Points and comparisons are those of a search that
+    evaluates one point at a time, and the count is the points it used.
+    """
     a, b = lo, hi
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
+    fc, fd = np.asarray(fun(np.array([c, d]))).tolist()
     evaluations = 2
     while (b - a) > rtol * b:
-        evaluations += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fun(d)
+        steps = {0: _golden_step(a, b, c, d, fc >= fd)}
+        for j in range(2 ** (_LOOKAHEAD - 1) - 1):
+            if j in steps:
+                a_, b_, c_, d_, _ = steps[j]
+                if (b_ - a_) > rtol * b_:
+                    steps[2 * j + 1] = _golden_step(a_, b_, c_, d_, True)
+                    steps[2 * j + 2] = _golden_step(a_, b_, c_, d_, False)
+        values = dict(zip(steps, np.asarray(fun(np.array(
+            [step[4] for step in steps.values()]))).tolist()))
+        j = 0
+        while j in steps:
+            left = fc >= fd
+            a, b, c, d, _ = steps[j]
+            fc, fd = (values[j], fc) if left else (fd, values[j])
+            evaluations += 1
+            j = 2 * j + (1 if fc >= fd else 2)
+            if not (b - a) > rtol * b:
+                break
     x = c if fc >= fd else d
     return float(x), float(max(fc, fd)), evaluations
 
@@ -300,7 +362,7 @@ def cfm_comparison(spec: SweepSpec, cfm_focal: float,
     cfm_zr = beam_optics.rayleigh_length(
         beam_optics.waist_from_lens(cfm_focal, ctx.incident_beam_diameter,
                                     ctx.wavelength), ctx.wavelength)
-    cfm_base = evaluate_at_rayleigh(cfm_zr, ctx).detected_signal
+    cfm_base = _at_rayleigh(np.array([cfm_zr]), ctx).detected_signal.item()
     return [(float(p), lrcfm_signal / (cfm_base * p)) for p in proportions]
 
 
@@ -316,8 +378,8 @@ def ratio_threshold(spec: SweepSpec, cfm_focal: float,
 def write_sweep_csv(rows, path) -> None:
     """Write sweep rows with the fixed header, full round-trip precision."""
     lines = [",".join(SWEEP_HEADER)]
-    for row in rows:
-        lines.append(",".join(repr(float(v)) for v in row.astuple()))
+    lines += [",".join(map(repr, values)) for values in
+              np.array([row.astuple() for row in rows], dtype=float).tolist()]
     atomic_write(path, "\n".join(lines) + "\n")
 
 

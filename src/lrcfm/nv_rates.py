@@ -17,7 +17,9 @@ normalization sum(rho) = 1:
 `steady_states` solves a whole array of power densities as one stack of
 5x5 systems and returns a SteadyState of arrays; `steady_state` is the
 same solve at one power density. `cw_fluorescence` and `polarization`
-work elementwise on either.
+work elementwise on either. The condition numbers of a batch (one
+batched SVD, several times the cost of the solve) are computed only if
+the result's `condition_number` is read.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .lazy import Deferred, LazyField
 
 _RATE_KEYS = ("k31", "k32", "k35", "k41", "k42", "k45", "k51", "k52")
 
@@ -85,14 +89,15 @@ class PumpModel:
 @dataclass(frozen=True)
 class SteadyState:
     """Steady-state populations rho_ii; sums to 1. From `steady_states`
-    each field is an array with one entry per power density."""
+    each field is an array with one entry per power density, and the
+    condition numbers are computed when `condition_number` is first read."""
 
     rho11: float
     rho22: float
     rho33: float
     rho44: float
     rho55: float
-    condition_number: float | None = None
+    condition_number: float | None = LazyField()
 
     def populations(self) -> np.ndarray:
         return np.array([self.rho11, self.rho22, self.rho33,
@@ -125,8 +130,9 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
 
     Each system is solved by replacing the first (redundant) row of the
     rate matrix with the normalization constraint; the whole stack of
-    dense 5x5 systems goes through one batched solve, and one batched SVD
-    gives the condition numbers.
+    dense 5x5 systems goes through one batched solve. The result keeps the
+    stack, and one batched SVD gives the condition numbers when
+    `condition_number` is first read.
     """
     power_density = np.asarray(power_density, dtype=float)
     if (power_density <= 0).any():
@@ -139,7 +145,6 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
     a[..., 0, :] = 1.0  # normalization row replaces one redundant balance row
     b = np.zeros(a.shape[:-1] + (1,))
     b[..., 0, 0] = 1.0
-    cond = np.linalg.cond(a)
     try:
         rho = np.linalg.solve(a, b)
         # one step of iterative refinement; the system is badly
@@ -151,11 +156,12 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
                 np.linalg.solve(a[i], b[i])
             except np.linalg.LinAlgError as exc:
                 raise ArithmeticError(
-                    f"singular steady-state system (cond={cond[i]:.3e}, "
+                    "singular steady-state system "
+                    f"(cond={np.linalg.cond(a[i]):.3e}, "
                     f"gamma={gamma[i]:.3e} Hz)") from exc
         raise
     return SteadyState(*(rho[..., k, 0] for k in range(5)),
-                       condition_number=cond)
+                       condition_number=Deferred(lambda: np.linalg.cond(a)))
 
 
 def steady_state(rates: NvRateSet, pump: PumpModel,

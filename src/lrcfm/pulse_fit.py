@@ -97,15 +97,16 @@ class TimeSeries:
         return cls(data[:, 0], data[:, 1], sigma)
 
     def to_csv(self, path) -> None:
+        """Write the trace with full round-trip precision, atomically."""
         cols = [self.tau, self.signal]
         header = "tau_s,signal"
         if self.sigma is not None:
             cols.append(self.sigma)
             header += ",sigma"
         lines = [header]
-        for row in zip(*cols):
-            lines.append(",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        lines += [",".join(map(repr, row))
+                  for row in np.column_stack(cols).tolist()]
+        atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)

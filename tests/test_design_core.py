@@ -9,6 +9,7 @@ CollectionGeometry, and it also returns the steady-state condition
 number, which the sweep rows now carry.
 """
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -16,7 +17,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
+import lrcfm
 from lrcfm import collection, designer, nv_rates
+from lrcfm.cli import main
+from lrcfm.config import load_config
 from lrcfm.beam_optics import ExcitationRegion
 from lrcfm.collection import FigureOfMerit
 from lrcfm.nv_rates import PumpModel, SteadyState
@@ -411,3 +415,17 @@ def test_singular_point_is_named(reference_context):
         designer.sweep(spec)
     with pytest.raises(ArithmeticError, match=message):
         old_sweep(spec)
+
+
+def test_design_report_conditions_match_oracle(tmp_path, capsys):
+    config = lrcfm.data_path("example_config.txt")
+    assert main(["--out", str(tmp_path), "design",
+                 "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "design_report.json").read_text())
+    cfg = load_config(config)
+    want = [row.condition_number for row in old_sweep(designer.SweepSpec(
+        "rayleigh_length", cfg.sweep_grid(), cfg.sweep_context()))]
+    assert report["steady_state_condition_min"] == \
+        pytest.approx(min(want), rel=1e-12)
+    assert report["steady_state_condition_max"] == \
+        pytest.approx(max(want), rel=1e-12)

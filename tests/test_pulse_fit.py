@@ -257,3 +257,36 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("time,counts\n0,1\n")
     with pytest.raises(ValueError, match="header"):
         TimeSeries.from_csv(path)
+
+
+def former_to_csv_text(data):
+    """The former writer: one repr(float(v)) per value."""
+    cols = [data.tau, data.signal]
+    header = "tau_s,signal"
+    if data.sigma is not None:
+        cols.append(data.sigma)
+        header += ",sigma"
+    lines = [header]
+    for row in zip(*cols):
+        lines.append(",".join(repr(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_to_csv_matches_former_writer(tmp_path):
+    rng = np.random.default_rng(31)
+    edge = np.array([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     0.1, 1 / 3, 1e16, 2.0 ** 53 + 2, 1.7976931348623157e308])
+    traces = [TimeSeries(np.sort(rng.uniform(0, 1e-3, 50)),
+                         rng.normal(size=50)),
+              TimeSeries(np.arange(edge.size, dtype=float), edge,
+                         np.abs(edge) + 5e-324),
+              TimeSeries(np.unique(np.exp(rng.normal(0, 30, 40))),
+                         np.exp(rng.normal(0, 200, 40)) * rng.choice(
+                             [-1.0, 1.0], 40),
+                         np.exp(rng.normal(0, 30, 40)))]
+    for k, data in enumerate(traces):
+        path = tmp_path / f"trace{k}.csv"
+        data.to_csv(path)
+        assert path.read_text() == former_to_csv_text(data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["trace0.csv", "trace1.csv", "trace2.csv"]  # no temporary file
