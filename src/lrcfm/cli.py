@@ -164,13 +164,25 @@ def _out_dir(args, cfg=None) -> Path:
     return out
 
 
+def _check_design_output(merit: float, *values) -> None:
+    """Refuse to write a design output that holds a non-finite number, or
+    whose figure of merit at the optimum is not positive: the config lies
+    outside what the model can evaluate (ArithmeticError, exit 3)."""
+    if not all(np.isfinite(np.asarray(v, dtype=float)).all() for v in values):
+        raise ArithmeticError("the design output holds a non-finite value; "
+                              "check the magnitudes in the config")
+    if not merit > 0:
+        raise ArithmeticError(f"detected signal at the optimum is {merit!r}, "
+                              "not positive; check the magnitudes in the "
+                              "config")
+
+
 def cmd_design(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
     spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
                               cfg.sweep_context())
     opt = designer.optimal_rayleigh(spec)
-    designer.write_sweep_csv(opt.rows, out / "sweep.csv")
     focal = beam_optics.focal_length_for_rayleigh(
         opt.rayleigh_length, cfg.incident_beam_diameter, cfg.wavelength)
     catalog = cfg.catalog if cfg.catalog is not None else designer.default_catalog()
@@ -198,6 +210,11 @@ def cmd_design(args) -> int:
     report["steady_state_condition_min"] = min(conditions)
     report["steady_state_condition_max"] = max(conditions)
     report["golden_evaluations"] = opt.golden_evaluations
+    _check_design_output(
+        opt.detected_signal, [row.astuple() for row in opt.rows],
+        [v for v in (*report.values(), *report["recommended_lens"].values())
+         if isinstance(v, float)])
+    designer.write_sweep_csv(opt.rows, out / "sweep.csv")
     atomic_write(out / "design_report.json",
                  json.dumps(report, indent=2) + "\n")
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "
@@ -219,6 +236,8 @@ def cmd_sweep(args) -> int:
                                   cfg.sweep_context())
         table = designer.cfm_comparison(spec, cfm_focal,
                                         np.geomspace(lo, hi, n))
+        # the ratio is positive exactly when the optimum's signal is
+        _check_design_output(min(ratio for _, ratio in table), table)
         lines = ["proportion,lrcfm_cfm_ratio"]
         lines += [f"{repr(float(p))},{repr(float(r))}" for p, r in table]
         path = out / "cfm_comparison.csv"
@@ -233,6 +252,8 @@ def cmd_sweep(args) -> int:
     grid = designer.default_grid(lo, hi, n)
     spec = designer.SweepSpec(variable, grid, cfg.sweep_context())
     rows = designer.sweep(spec)
+    _check_design_output(max(row.detected_signal for row in rows),
+                         [row.astuple() for row in rows])
     path = out / "sweep.csv"
     designer.write_sweep_csv(rows, path)
     print(f"wrote {path} ({len(rows)} rows)")

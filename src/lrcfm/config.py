@@ -173,7 +173,7 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
         incident_beam_diameter=quantity("laser.incident_beam_diameter",
                                         "length"),
         sample_thickness=quantity("sample.thickness", "length"),
-        density=number("sample.density", 1.0),
+        density=number("sample.density", 1.0, positive=True),
         rates=rates,
         pump=pump,
         lens_radius=quantity("lens.radius", "length"),

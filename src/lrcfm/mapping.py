@@ -1,15 +1,16 @@
 """Per-pixel fitting into spatial maps, map statistics, and a seeded
 synthetic multi-pixel dataset generator used as the test oracle.
 
-Pixels that fail to fit (non-convergent or unidentifiable data) are
-recorded as missing (NaN) and excluded from statistics, never imputed.
+Pixels that fail (unidentifiable data, a fit that did not converge, or a
+derived value that cannot be computed) are recorded as missing (NaN) and
+excluded from statistics, never imputed; the map counts each reason.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +19,8 @@ from .io import atomic_write
 from .pulse_fit import TimeSeries
 
 QUANTITIES = ("pi_time", "t1", "t2", "custom")
+# why a fitted pixel is missing, in the order stats.json reports them
+FAILURES = ("unidentifiable", "not_converged", "derive_failed")
 
 # default per-model map quantity: rabi maps report the pi time, decay
 # maps report the fitted time constant a2
@@ -37,6 +40,8 @@ class PixelMap:
     values: np.ndarray  # shape (ny, nx); NaN = missing pixel
     quantity: str
     units: str
+    # pixels missing from values, per reason in FAILURES
+    failures: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pitch <= 0:
@@ -66,11 +71,17 @@ class MapStats:
     max: float
     n_valid: int
     n_missing: int
+    n_unidentifiable: int = 0
+    n_not_converged: int = 0
+    n_derive_failed: int = 0
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean, "std": self.std, "min": self.min,
                 "max": self.max, "n_valid": self.n_valid,
-                "n_missing": self.n_missing}
+                "n_missing": self.n_missing,
+                "n_unidentifiable": self.n_unidentifiable,
+                "n_not_converged": self.n_not_converged,
+                "n_derive_failed": self.n_derive_failed}
 
 
 def assemble(records, model: str, derive=None, pitch: float | None = None,
@@ -81,7 +92,7 @@ def assemble(records, model: str, derive=None, pitch: float | None = None,
     Coordinates must snap to a common grid (tolerance pitch/100); the
     pitch is inferred from coordinate spacing when not given. Records
     that share a tau grid are fitted as one batch (`pulse_fit.fit_many`).
-    Failed fits leave their pixel missing.
+    Failed pixels stay missing, and are counted per reason in FAILURES.
     """
     records = list(records)
     if not records:
@@ -108,15 +119,20 @@ def assemble(records, model: str, derive=None, pitch: float | None = None,
         seen.add((iy, ix))
         cells.append((iy, ix))
     results = pulse_fit.fit_many(model, [series for _, _, series in records])
+    failures = dict.fromkeys(FAILURES, 0)
     for cell, result in zip(cells, results):
-        if result is None or not result.converged:
-            continue
-        try:
-            values[cell] = derive(result)
-        except ValueError:
-            continue
+        if result is None:
+            failures["unidentifiable"] += 1
+        elif not result.converged:
+            failures["not_converged"] += 1
+        else:
+            try:
+                values[cell] = derive(result)
+            except ValueError:
+                failures["derive_failed"] += 1
     return PixelMap(origin=(x0, y0), pitch=float(pitch), nx=nx, ny=ny,
-                    values=values, quantity=quantity, units=units)
+                    values=values, quantity=quantity, units=units,
+                    failures=failures)
 
 
 def _snap(index: float, coordinate: float, axis: str) -> int:
@@ -137,7 +153,8 @@ def _infer_pitch(xs, ys) -> float:
 
 
 def stats(pixel_map: PixelMap) -> MapStats:
-    """Mean, population standard deviation, min and max over valid pixels."""
+    """Mean, population standard deviation, min and max over valid pixels,
+    and the counts of missing pixels, per reason when the map has them."""
     values = pixel_map.values
     valid = values[np.isfinite(values)]
     if valid.size == 0:
@@ -149,6 +166,8 @@ def stats(pixel_map: PixelMap) -> MapStats:
         max=float(np.max(valid)),
         n_valid=int(valid.size),
         n_missing=int(values.size - valid.size),
+        **{f"n_{reason}": pixel_map.failures.get(reason, 0)
+           for reason in FAILURES},
     )
 
 

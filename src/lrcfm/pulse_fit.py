@@ -6,16 +6,27 @@ Three models are supported:
 * t1:   a1 * exp(-tau/a2) + a3
 * t2:   a1 * exp(-(tau/a2)**a3)     (stretched exponential)
 
-Fitting uses damped Gauss-Newton (Levenberg-style adaptive damping) with
-analytic Jacobians. Positivity of scale parameters (a2 everywhere, the
-rabi frequency a3, and the t2 stretching exponent a3) is enforced by
-optimizing their logarithms.
+Each model is linear in some parameters once the others are fixed:
 
-There is one engine, `_gauss_newton`, and it works on a stack of rows:
-`fit_many` puts every trace of a map that shares a tau grid, times every
-rabi phase restart, into one batch, and `fit` is a batch of one trace.
-Each row keeps its own damping, accept/reject rule and stopping test, so
-a trace's result does not depend on the batch it was fitted in.
+* rabi: nonlinear (a2, a3); linear (a1 cos a4, -a1 sin a4, a5)
+* t1:   nonlinear a2;       linear (a1, a3)
+* t2:   nonlinear (a2, a3); linear a1
+
+Fitting uses variable projection (Golub & Pereyra 1973): the linear
+parameters are solved exactly, by a small normal-equation solve, at every
+value of the nonlinear ones, and only the nonlinear parameters are
+iterated, by damped Gauss-Newton (Levenberg-style adaptive damping) with
+Kaufman's (1975) Jacobian of the projected residual. The nonlinear
+parameters are positive, and are optimized as their logarithms. The rabi
+phase is part of the linear solve, so a rabi fit needs no phase restarts.
+The covariance is that of all parameters, from the full-model Jacobian at
+the solution.
+
+There is one engine, `_variable_projection`, and it works on a stack of
+rows: `fit_many` puts every trace of a map that shares a tau grid into
+one batch, one row per trace, and `fit` is a batch of one trace. Each row
+keeps its own damping, accept/reject rule and stopping test, so a trace's
+result does not depend on the batch it was fitted in.
 
 On a uniform tau grid (step dtau) the rabi frequencies a3 and
 +-a3 + k/dtau give identical samples; a fit that lands on such an alias
@@ -35,15 +46,15 @@ from .io import atomic_write
 
 MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
 
-# indices of parameters constrained positive via log transform
-_LOG_PARAMS = {"rabi": (1, 2), "t1": (1,), "t2": (1, 2)}
+# indices of the nonlinear parameters, which are positive and optimized as
+# logarithms; the model is linear in the others
+_NONLINEAR = {"rabi": (1, 2), "t1": (1,), "t2": (1, 2)}
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8
 _MAX_REJECTIONS = 50  # rejected trial steps per iteration before giving up
-_PHASE_OFFSETS = (0.0, 0.5 * np.pi, np.pi, -0.5 * np.pi)  # rabi restarts
-# rows in flight in one Gauss-Newton batch; bounds the working arrays,
-# such as the (rows, len(tau), p) Jacobian
+# rows in flight in one batch; bounds the working arrays, such as the
+# (rows, len(tau), k) basis
 _LANES = 96
 
 
@@ -196,33 +207,19 @@ def _stretched_power(tau, a2, a3):
         return np.where(tau > 0, (tau / a2) ** a3, 0.0)
 
 
-def _to_internal(model: str, a: np.ndarray) -> np.ndarray:
-    b = np.array(a, dtype=float)
-    for i in _LOG_PARAMS[model]:
-        if np.any(b[..., i] <= 0):
-            raise ValueError(f"parameter a{i + 1} of {model} must be positive")
-        b[..., i] = np.log(b[..., i])
-    return b
-
-
-def _from_internal(model: str, b: np.ndarray) -> np.ndarray:
-    a = np.array(b, dtype=float)
-    log = list(_LOG_PARAMS[model])
-    a[..., log] = np.exp(np.minimum(a[..., log], 700.0))  # keep trials finite
-    return a
-
-
 def fit(model: str, data: TimeSeries, init=None,
         step_tol: float = STEP_TOLERANCE) -> FitResult:
     """Least-squares fit of `model` to `data`.
 
-    Minimizes sum(((f(tau; a) - y) / sigma)^2) with adaptive Marquardt
-    damping. Convergence: relative parameter step < step_tol (default
-    1e-8) within 200 iterations; a non-converged fit is returned with
-    converged=False rather than raised. Without `init`, a rabi fit starts
-    from four phases and keeps the lowest-cost minimizer.
+    Minimizes sum(((f(tau; a) - y) / sigma)^2) by variable projection:
+    adaptive Marquardt damping on the nonlinear parameters, the linear
+    ones solved exactly at every step. Convergence: relative step of the
+    nonlinear parameters < step_tol (default 1e-8) within 200 iterations;
+    a non-converged fit is returned with converged=False rather than
+    raised. Of `init` only the nonlinear entries are used (a2, and a3 for
+    rabi and t2).
     """
-    return _fit_group(model, [data], [_starts(model, data, init)],
+    return _fit_group(model, [data], [_start(model, data, init)],
                       step_tol)[0]
 
 
@@ -230,18 +227,18 @@ def fit_many(model: str, series) -> list[FitResult | None]:
     """Fit every trace of `series` from its automatic start, as `fit` would
     one at a time; None marks a constant (unidentifiable) trace.
 
-    Traces that share a tau grid are fitted together, every trace and
-    restart as one row of a batch; each result is bitwise equal to the
-    lone `fit` of its trace.
+    Traces that share a tau grid are fitted together, one row of a batch
+    per trace; each result is bitwise equal to the lone `fit` of its
+    trace.
     """
     results = [None] * len(series)
     groups = {}
     for index, data in enumerate(series):
         try:
-            starts = _starts(model, data)
+            start = _start(model, data)
         except UnidentifiableDataError:
             continue
-        groups.setdefault(data.tau.tobytes(), []).append((index, data, starts))
+        groups.setdefault(data.tau.tobytes(), []).append((index, data, start))
     for members in groups.values():
         indices, group, starts = zip(*members)
         for index, result in zip(
@@ -250,8 +247,9 @@ def fit_many(model: str, series) -> list[FitResult | None]:
     return results
 
 
-def _starts(model: str, data: TimeSeries, init=None) -> np.ndarray:
-    """Validate `data` for `model`; the starting points, shape (restarts, p)."""
+def _start(model: str, data: TimeSeries, init=None) -> np.ndarray:
+    """Validate `data` for `model`; the starting nonlinear parameters, as
+    logarithms, shape (q,)."""
     arity = MODEL_ARITY.get(model)
     if arity is None:
         raise ValueError(f"unknown model {model!r}")
@@ -261,104 +259,160 @@ def _starts(model: str, data: TimeSeries, init=None) -> np.ndarray:
     if np.ptp(data.signal) == 0.0:
         raise UnidentifiableDataError(
             f"constant signal cannot constrain a {model} model")
-    if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (arity,):
+    if init is None:
+        a = auto_init(model, data)
+    else:
+        a = np.asarray(init, dtype=float)
+        if a.shape != (arity,):
             raise ValueError(f"init must have {arity} parameters")
-        return init[None, :]
-    start = auto_init(model, data)
-    if model != "rabi":
-        return start[None, :]
-    # the a4 = 0 starting phase captures only part of the phase circle;
-    # start from the spectral phase estimate and three offsets of it
-    phase0 = _spectral_phase(data.tau, data.signal, start[2])
-    starts = np.repeat(start[None, :], len(_PHASE_OFFSETS), axis=0)
-    starts[:, 3] = [phase0 + offset for offset in _PHASE_OFFSETS]
-    return starts
+    for i in _NONLINEAR[model]:
+        if not a[i] > 0:
+            raise ValueError(f"parameter a{i + 1} of {model} must be positive")
+    return np.log(a[list(_NONLINEAR[model])])
 
 
 def _fit_group(model, group, starts, step_tol) -> list[FitResult]:
-    """Fit traces that share one tau grid, each from its own (restarts, p)
-    starting points (the same count for all), and keep each trace's
-    lowest-cost restart."""
+    """Fit traces that share one tau grid, each from its own start (log
+    nonlinear parameters); the covariance comes from the full-parameter
+    Jacobian at the solution."""
     tau = group[0].tau
-    restarts = len(starts[0])
     signal = np.stack([data.signal for data in group])
     sigma = None
     if any(data.sigma is not None for data in group):
         sigma = np.stack([data.sigma if data.sigma is not None
                           else np.ones(len(data)) for data in group])
-    b, cost, jtj, converged, iterations = _gauss_newton(
-        model, tau, signal, sigma,
-        np.repeat(np.arange(len(group)), restarts),
-        np.concatenate([_to_internal(model, s) for s in starts]), step_tol)
+    theta, coef, cost, converged, iterations = _variable_projection(
+        model, tau, signal, sigma, np.stack(starts), step_tol)
+    a = _full_params(model, _positive(theta), coef)
+    jtj = np.empty((len(group), a.shape[1], a.shape[1]))
+    rms = np.empty(len(group))
+    for lo in range(0, len(group), _LANES):  # bounded working set
+        rows = slice(lo, lo + _LANES)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jb = _log_jacobian(model, tau, a[rows],
+                               None if sigma is None else sigma[rows])
+            jtj[rows] = jb.transpose(0, 2, 1) @ jb
+            raw = model_eval(model, tau, a[rows]) - signal[rows]
+        rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
     results = []
-    for i, data in enumerate(group):
-        best = i * restarts
-        for row in range(best + 1, best + restarts):
-            if cost[row] < cost[best]:
-                best = row
-        a = _from_internal(model, b[best])
-        raw = model_eval(model, tau, a) - data.signal
-        cov = _covariance(model, a, jtj[best], cost[best], len(data))
+    for i in range(len(group)):
+        cov = _covariance(model, a[i], jtj[i], cost[i], len(tau))
+        params = a[i]
         if model == "rabi":
-            a, cov = _canonicalize_rabi(a, cov, tau)
+            params, cov = _canonicalize_rabi(params, cov, tau)
         results.append(FitResult(
-            model=model, params=a, covariance=cov,
-            residual_rms=float(np.sqrt(np.mean(raw ** 2))),
-            converged=bool(converged[best]),
-            iterations=int(iterations[best])))
+            model=model, params=params, covariance=cov,
+            residual_rms=float(rms[i]), converged=bool(converged[i]),
+            iterations=int(iterations[i])))
     return results
 
 
-def _gauss_newton(model, tau, y, sigma, trace, b, step_tol):
-    """Damped Gauss-Newton on a stack of rows: row m fits `model` to trace
-    y[trace[m]] (errors sigma[trace[m]], or ones when sigma is None) from
-    internal parameters b[m].
+def _log_jacobian(model, tau, a, sigma):
+    """Jacobian in every parameter, the nonlinear ones taken as logarithms,
+    of the model divided by sigma (rows of errors, or None for ones):
+    shape (N, len(tau), arity) for parameter rows a of shape (N, arity)."""
+    jb = model_jacobian(model, tau, a)
+    if sigma is not None:
+        jb /= sigma[:, :, None]
+    for i in _NONLINEAR[model]:
+        jb[:, :, i] *= a[:, i, None]  # chain rule d a / d log(a)
+    return jb
+
+
+def _positive(theta):
+    """Nonlinear parameters from their logarithms, capped to keep extreme
+    trial iterates finite."""
+    return np.exp(np.minimum(theta, 700.0))
+
+
+def _basis(model, tau, nl):
+    """The columns multiplying the linear parameters, shape (N, len(tau),
+    k), at nonlinear parameters nl = a[_NONLINEAR], shape (N, q)."""
+    if model == "rabi":
+        env = np.exp(-tau / nl[:, :1])
+        phase = 2 * np.pi * nl[:, 1:] * tau
+        return np.stack([env * np.cos(phase), env * np.sin(phase),
+                         np.ones_like(env)], axis=-1)
+    if model == "t1":
+        env = np.exp(-tau / nl[:, :1])
+        return np.stack([env, np.ones_like(env)], axis=-1)
+    return np.exp(-_stretched_power(tau, nl[:, :1], nl[:, 1:]))[:, :, None]
+
+
+def _full_params(model, nl, c):
+    """Model parameters (N, arity) from nonlinear nl (N, q) and linear
+    coefficients c (N, k)."""
+    if model == "rabi":
+        return np.column_stack([np.hypot(c[:, 0], c[:, 1]), nl,
+                                np.arctan2(-c[:, 1], c[:, 0]), c[:, 2]])
+    if model == "t1":
+        return np.column_stack([c[:, 0], nl, c[:, 1]])
+    return np.column_stack([c, nl])
+
+
+def _variable_projection(model, tau, y, sigma, theta, step_tol):
+    """Damped Gauss-Newton on the nonlinear parameters of a stack of rows:
+    row m fits `model` to trace y[m] (errors sigma[m], or ones when sigma
+    is None) from theta[m], the logarithms of its nonlinear parameters.
+
+    At every theta the linear coefficients c solve the weighted normal
+    equations (phi^T phi) c = phi^T y exactly, and the residual is
+    r = phi c - y. The Jacobian of r is Kaufman's P (d phi / d theta) c,
+    with P the projector off the columns of phi.
 
     Every row runs its own loop: per iteration one Jacobian, then trial
     steps with damping lam (start 1e-3, /10 on accept, x10 on reject or
     on a singular system) until a finite cost no larger than the current
-    one is found; a row stops on a relative step below step_tol
+    one is found; a row stops on a relative step of theta below step_tol
     (converged), after 50 rejections in one iteration, or after
     MAX_ITERATIONS iterations. Each round makes one trial step for every
     row in flight; at most _LANES rows are in flight, and finished rows
     are replaced by waiting ones. A row's arithmetic does not depend on
     the other rows.
 
-    Returns (b, cost, J^T J at the last Jacobian, converged, iterations).
+    Returns (theta, c, cost, converged, iterations).
     """
-    m, p = b.shape
-    diagonal = np.arange(p)
-    b = b.copy()
+    m, q = theta.shape
+    diagonal = np.arange(q)
+    theta = theta.copy()
+    if sigma is not None:
+        y = y / sigma
+    coef = np.empty((m, MODEL_ARITY[model] - q))
     cost = np.empty(m)
     lam = np.full(m, 1e-3)
-    jtj = np.empty((m, p, p))
-    g = np.empty((m, p))
+    jtj = np.empty((m, q, q))
+    g = np.empty((m, q))
     converged = np.zeros(m, dtype=bool)
     finished = np.zeros(m, dtype=bool)
     iterations = np.zeros(m, dtype=int)
     rejected = np.zeros(m, dtype=int)
 
-    # extreme trial iterates can overflow/underflow; such steps are
-    # simply rejected by the non-finite cost check
-    def residuals(rows, trial):
-        r = model_eval(model, tau, _from_internal(model, trial))
-        r -= y[trace[rows]]
+    # extreme trial iterates can overflow/underflow or make phi singular;
+    # such steps are simply rejected by the non-finite cost check
+    def project(rows, trial):
+        """Weighted basis, linear coefficients, residuals and cost of
+        `rows` at nonlinear parameters `trial`."""
+        phi = _basis(model, tau, _positive(trial))
         if sigma is not None:
-            r /= sigma[trace[rows]]
-        return r, np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+            phi /= sigma[rows][:, :, None]
+        phit = phi.transpose(0, 2, 1)
+        c = _solve_rows(phit @ phi, (phit @ y[rows][:, :, None])[:, :, 0])
+        r = (phi @ c[:, :, None])[:, :, 0]
+        r -= y[rows]
+        return phi, c, r, np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
 
-    def linearize(rows, r):
-        """Start a new iteration of `rows` at b[rows], residuals r."""
+    def linearize(rows, phi, c, r):
+        """Start a new iteration of `rows` at theta[rows]."""
         iterations[rows] += 1
         rejected[rows] = 0
-        a = _from_internal(model, b[rows])
-        jb = model_jacobian(model, tau, a)
-        if sigma is not None:
-            jb /= sigma[trace[rows]][:, :, None]
-        for i in _LOG_PARAMS[model]:
-            jb[:, :, i] *= a[:, i, None]  # chain rule d a / d log(a)
+        # (d phi / d theta_j) c is the model's derivative in theta_j at
+        # fixed linear coefficients
+        v = _log_jacobian(model, tau,
+                          _full_params(model, _positive(theta[rows]), c),
+                          None if sigma is None else sigma[rows]
+                          )[:, :, list(_NONLINEAR[model])]
+        phit = phi.transpose(0, 2, 1)
+        jb = v - phi @ _solve_rows(phit @ phi, phit @ v)
         jbt = jb.transpose(0, 2, 1)
         jtj[rows] = jbt @ jb
         g[rows] = (jbt @ r[:, :, None])[:, :, 0]
@@ -372,46 +426,53 @@ def _gauss_newton(model, tau, y, sigma, trace, b, step_tol):
                 rows = np.arange(next_row,
                                  min(m, next_row + _LANES - active.size))
                 next_row = rows[-1] + 1
-                r, cost[rows] = residuals(rows, b[rows])
-                linearize(rows, r)
+                phi, coef[rows], r, cost[rows] = project(rows, theta[rows])
+                linearize(rows, phi, coef[rows], r)
                 active = np.concatenate([active, rows])
             damped = jtj[active]
             damped[:, diagonal, diagonal] += lam[active, None] * np.clip(
                 damped[:, diagonal, diagonal], 1e-300, None)
             step = _solve_rows(damped, -g[active])
-            trial = b[active] + step
-            r, cost_trial = residuals(active, trial)
+            trial = theta[active] + step
+            phi, c, r, cost_trial = project(active, trial)
             accept = np.isfinite(cost_trial) & (cost_trial <= cost[active])
             rows = active[~accept]
             lam[rows] *= 10.0
             rejected[rows] += 1
             finished[rows] = rejected[rows] >= _MAX_REJECTIONS
             rows = active[accept]
-            b[rows], cost[rows] = trial[accept], cost_trial[accept]
+            theta[rows], cost[rows] = trial[accept], cost_trial[accept]
+            coef[rows] = c[accept]
             lam[rows] = np.maximum(lam[rows] / 10.0, 1e-12)
             converged[rows] = np.max(
-                np.abs(step[accept]) / (1.0 + np.abs(b[rows])), axis=1) < step_tol
+                np.abs(step[accept]) / (1.0 + np.abs(theta[rows])),
+                axis=1) < step_tol
             finished[rows] = converged[rows] | (iterations[rows] >= MAX_ITERATIONS)
-            going = ~finished[rows]
+            going = accept.copy()
+            going[accept] = ~finished[rows]
             if going.any():
-                linearize(rows[going], r[accept][going])
+                linearize(active[going], phi[going], c[going], r[going])
             active = active[~finished[active]]
-    return b, cost, jtj, converged, iterations
+    return theta, coef, cost, converged, iterations
 
 
 def _solve_rows(matrices, rhs):
-    """Solve each (p, p) system of a stack; NaN rows for singular ones,
-    whose trial step is then rejected."""
+    """Solve each (p, p) system of a stack for its right-hand side, shape
+    (p,) or (p, q); NaN for singular systems, whose trial step or
+    coefficients then give a rejected (non-finite) cost."""
+    vector = rhs.ndim == 2
+    if vector:
+        rhs = rhs[:, :, None]
     try:
-        return np.linalg.solve(matrices, rhs[:, :, None])[:, :, 0]
+        out = np.linalg.solve(matrices, rhs)
     except np.linalg.LinAlgError:
-        steps = np.full_like(rhs, np.nan)
-        for i, (matrix, v) in enumerate(zip(matrices, rhs)):
+        out = np.full_like(rhs, np.nan)
+        for i, (matrix, b) in enumerate(zip(matrices, rhs)):
             try:
-                steps[i] = np.linalg.solve(matrix, v[:, None])[:, 0]
+                out[i] = np.linalg.solve(matrix, b)
             except np.linalg.LinAlgError:
                 pass
-        return steps
+    return out[:, :, 0] if vector else out
 
 
 def _canonicalize_rabi(a, cov, tau):
@@ -454,7 +515,7 @@ def _covariance(model, a, jtj, cost, n):
         except np.linalg.LinAlgError:
             cov_b = s2 * np.linalg.pinv(jtj)
         scale = np.ones(p)
-        for i in _LOG_PARAMS[model]:
+        for i in _NONLINEAR[model]:
             scale[i] = a[i]
         cov = cov_b * np.outer(scale, scale)  # d a / d log(a) chain rule
         return 0.5 * (cov + cov.T)
@@ -500,18 +561,6 @@ def _dominant_frequency(tau, y):
         return None
     k = 1 + int(np.argmax(spectrum[1:]))
     return k / (grid[-1] - grid[0])
-
-
-def _spectral_phase(tau, y, freq):
-    """Phase of the oscillation at `freq`, from the matched DFT coefficient
-    of the uniformly resampled signal."""
-    n = len(tau)
-    grid = np.linspace(tau[0], tau[-1], n)
-    resampled = np.interp(grid, tau, y) - np.mean(y)
-    z = np.sum(resampled * np.exp(-2j * np.pi * freq * grid))
-    if z == 0:
-        return 0.0
-    return float(np.angle(z))
 
 
 def _one_over_e_time(tau, y, baseline, amplitude, fallback):

@@ -194,6 +194,28 @@ def test_sweep_detection_proportion(config_dir, tmp_path):
     assert ratios == sorted(ratios, reverse=True)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("laser.power", "1e-320 W"),                   # nan CFM ratios
+    ("laser.incident_beam_diameter", "1e300 m"),   # no detected signal
+])
+def test_absurd_magnitude_writes_nothing(config_dir, tmp_path, capsys,
+                                         key, value):
+    cfg = config_dir / "example_config.txt"
+    cfg.write_text("".join(
+        f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
+        for line in cfg.read_text().splitlines(keepends=True)))
+    for command in (["design"], ["sweep", "--variable", "rayleigh"],
+                    ["sweep", "--variable", "detection-proportion"]):
+        out = tmp_path / "out"
+        code = run("--out", out, *command, "--config", cfg)
+        assert code in (2, 3), command
+        assert not out.exists() or not any(out.iterdir()), command
+    assert "Traceback" not in capsys.readouterr().err
+    code = run("--out", tmp_path / "out", "design", "--config", cfg)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_fit_noiseless_recovers_truth(tmp_path):
     truth = np.array([1.0, 21.5e-6, 1.5])
     tau = np.linspace(0, 80e-6, 121)[1:]
@@ -255,6 +277,28 @@ def test_simulate_then_map(tmp_path):
     assert stats["mean"] == pytest.approx(21.5e-6, rel=0.02)
     map_json = json.loads((out / "map.json").read_text())
     assert map_json["nx"] == 2 and map_json["ny"] == 3
+
+
+def test_map_rabi_deterministic(tmp_path):
+    rng = np.random.default_rng(5)
+    params = np.stack([np.ones((4, 3)), rng.uniform(1.5e-6, 5e-6, (4, 3)),
+                       rng.uniform(1e6, 3e6, (4, 3)),
+                       rng.uniform(-np.pi, np.pi, (4, 3)),
+                       np.full((4, 3), 0.5)], axis=-1)
+    truth = {"model": "rabi", "nx": 3, "ny": 4, "params": params.tolist(),
+             "tau": {"start_s": 0.0, "stop_s": 4e-6, "points": 120}}
+    (tmp_path / "truth.json").write_text(json.dumps(truth))
+    data = tmp_path / "data"
+    assert run("--out", data, "--seed", 9, "simulate", "--model", "rabi",
+               "--truth", tmp_path / "truth.json", "--noise", 0.02) == 0
+    for out in ("a", "b"):
+        assert run("--out", tmp_path / out, "map", "--model", "rabi",
+                   "--manifest", data) == 0
+    for name in ("map.csv", "stats.json"):
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes(), name
+    stats = json.loads((tmp_path / "a" / "stats.json").read_text())
+    assert stats["n_valid"] == 12
 
 
 def test_map_noiseless_matches_truth(tmp_path):

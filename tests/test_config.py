@@ -97,6 +97,14 @@ def test_negative_quantity_rejected(config_dir):
         parse_config_text(text, config_dir)
 
 
+@pytest.mark.parametrize("density", ["-1", "0"])
+def test_density_must_be_positive(config_dir, density):
+    text = MINIMAL + f"sample.density = {density}\n"
+    with pytest.raises(ConfigError,
+                       match=r":6: sample.density must be positive"):
+        parse_config_text(text, config_dir)
+
+
 def test_missing_rates_file_names_path(config_dir):
     text = MINIMAL.replace("nv_rates_example.txt", "absent.txt")
     with pytest.raises(ConfigError, match="absent.txt"):

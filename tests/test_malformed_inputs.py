@@ -4,8 +4,10 @@ traceback, and leave nothing in --out.
 
 Each strategy edits a valid input so that it is malformed for sure: a
 required key dropped, a value of the wrong type or unit, a non-finite or
-non-positive value, a broken line, or broken JSON or CSV structure.
-Values are never merely changed to other valid values.
+non-positive value, a magnitude so far out that the design model
+underflows or overflows, a broken line, or broken JSON or CSV structure.
+Values are never merely changed to other valid values; the design
+session's own range of thickness and power must still pass.
 """
 
 import contextlib
@@ -38,6 +40,13 @@ REQUIRED_KEYS = ("laser.wavelength", "laser.power",
 
 words = st.text(alphabet="abcdxyz!?,;", min_size=1, max_size=6)
 non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+# finite magnitudes that leave the design with a non-finite output or no
+# detected signal at the optimum (each checked by hand on both commands)
+ABSURD = {"laser.power": ["1e-320 W", "1e-315 W", "1e-310 W", "1e300 W"],
+          "laser.incident_beam_diameter": ["1e300 m", "1e200 m", "1e100 m",
+                                           "1e50 m"],
+          "lens.radius": ["1e-300 m"],
+          "sample.density": ["1e-320", "0", "-1"]}
 wrong_json = (st.none() | st.booleans() | words
               | st.lists(words, min_size=1, max_size=2)
               | st.dictionaries(words, st.integers(0, 3), max_size=2))
@@ -69,7 +78,8 @@ def malformed_config(draw):
     """(config lines, rates lines) with exactly one malformation."""
     config, rates = list(CONFIG), list(RATES)
     kind = draw(st.sampled_from(["drop", "quantity", "number", "line",
-                                 "volume_model", "missing_file", "rates"]))
+                                 "volume_model", "missing_file", "rates",
+                                 "magnitude"]))
     if kind == "drop":
         key = draw(st.sampled_from(REQUIRED_KEYS))
         config = [ln for ln in config if ln.split("=")[0].strip() != key]
@@ -93,6 +103,9 @@ def malformed_config(draw):
                                      "laser.power 10 mW", "rates =",
                                      "laser.power = 1 mW"]))  # a duplicate
         config.insert(draw(st.integers(0, len(config))), line)
+    elif kind == "magnitude":
+        key = draw(st.sampled_from(sorted(ABSURD)))
+        config = edit_line(config, key, draw(st.sampled_from(ABSURD[key])))
     elif kind == "volume_model":
         config = edit_line(config, "volume_model", draw(words))
     elif kind == "missing_file":
@@ -121,6 +134,25 @@ def test_malformed_config(workdir, case):
                         ["sweep", "--variable", "detection-proportion"]):
             out = tmp / "out"
             assert_rejected([*command, "--config", tmp / "run.cfg"], out)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.floats(500.0, 5000.0), st.floats(1.0, 100.0))
+def test_design_session_range_passes(workdir, thickness_um, power_mw):
+    """The thickness and power range of a design session stays valid."""
+    config = edit_line(edit_line(CONFIG, "sample.thickness",
+                                 f"{thickness_um!r} um"),
+                       "laser.power", f"{power_mw!r} mW")
+    with tempfile.TemporaryDirectory(dir=workdir) as tmp:
+        tmp = Path(tmp)
+        for name in ("lens_catalog.csv", "nv_rates_example.txt"):
+            shutil.copy(lrcfm.data_path(name), tmp)
+        (tmp / "run.cfg").write_text("\n".join(config) + "\n")
+        for command in (["design"],
+                        ["sweep", "--variable", "detection-proportion"]):
+            code, err = run(["--out", tmp / "out", *command, "--config",
+                             tmp / "run.cfg"])
+            assert code == 0, err
 
 
 TRUTH = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,39 @@ def test_constant_pixel_marked_missing():
     pixel_map = mapping.assemble(records, "t2", pitch=PITCH)
     assert np.isnan(pixel_map.values[0, 1])
     assert np.sum(np.isfinite(pixel_map.values)) == 3
+
+
+def test_missing_pixels_counted_by_reason(tmp_path):
+    params = t2_truth_field(2, 3)
+    params[1, 2, 1] = 60e-6  # the pixel whose derived value fails
+    records = mapping.synth_map(params, "t2", t2_tau(), 0.001, 0)
+    x, y, series = records[0]
+    records[0] = (x, y, TimeSeries(series.tau,
+                                   np.full_like(series.signal, 3.0)))
+    x, y, series = records[1]
+    rising = TimeSeries(series.tau, np.linspace(0.0, 1.0, len(series)))
+    assert not pulse_fit.fit("t2", rising).converged
+    records[1] = (x, y, rising)
+
+    def derive(result):
+        if result.params[1] > 50e-6:
+            raise ValueError("out of range")
+        return float(result.params[1])
+
+    pixel_map = mapping.assemble(records, "t2", derive=derive, pitch=PITCH)
+    assert pixel_map.failures == {"unidentifiable": 1, "not_converged": 1,
+                                  "derive_failed": 1}
+    assert np.isnan(pixel_map.values[0, 0]) and np.isnan(pixel_map.values[0, 1])
+    assert np.isnan(pixel_map.values[1, 2])
+    s = mapping.stats(pixel_map)
+    assert (s.n_valid, s.n_missing) == (3, 3)
+    assert (s.n_unidentifiable, s.n_not_converged, s.n_derive_failed) == \
+        (1, 1, 1)
+    path = tmp_path / "stats.json"
+    mapping.write_stats_json(s, path)
+    assert list(json.loads(path.read_text())) == [
+        "mean", "std", "min", "max", "n_valid", "n_missing",
+        "n_unidentifiable", "n_not_converged", "n_derive_failed"]
 
 
 def test_stats_basic():

@@ -44,6 +44,26 @@ def test_exact_model_fixed_point():
     assert result.residual_rms <= 1e-10 * np.sqrt(np.mean(data.signal ** 2))
 
 
+@pytest.mark.parametrize("model,truth", [
+    ("rabi", np.array([1.0, 20e-6, 1e6, 0.3, 0.5])),
+    ("t1", np.array([1.0, 11e-3, 0.2])),
+    ("t2", np.array([1.0, 21.5e-6, 1.5])),
+])
+def test_init_uses_only_nonlinear_entries(model, truth):
+    data = make_data(model, truth, noise=0.01, seed=2)
+    linear = [0, 3, 4] if model == "rabi" else [0, 2] if model == "t1" else [0]
+    other = truth.copy()
+    other[linear] = [-5.0, 2.0, 7.0][:len(linear)]
+    a, b = pf.fit(model, data, init=truth), pf.fit(model, data, init=other)
+    assert a.converged
+    assert np.array_equal(a.params, b.params)
+    assert a.iterations == b.iterations
+    bad = truth.copy()
+    bad[1] = -bad[1]
+    with pytest.raises(ValueError, match="a2 of .* must be positive"):
+        pf.fit(model, data, init=bad)
+
+
 def test_constant_signal_unidentifiable():
     tau = np.linspace(0, 1e-3, 50)
     with pytest.raises(UnidentifiableDataError):
