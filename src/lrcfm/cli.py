@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import beam_optics, collection, designer, mapping, pulse_fit
+from . import beam_optics, collection, designer, mapping, pulse_fit, traces
 from .config import ConfigError, load_config
 from .io import atomic_write
 from .units import parse_quantity
@@ -177,6 +178,17 @@ def _check_design_output(merit: float, *values) -> None:
                               "config")
 
 
+def _check_interior(opt: designer.OptimalResult) -> None:
+    """Refuse an optimum at either end of a grid of three or more points:
+    the signal may still rise beyond the grid (an input error, exit 2)."""
+    i = int(np.argmax(opt.merit.detected_signal))
+    if opt.grid.size >= 3 and i in (0, opt.grid.size - 1):
+        end, key = ("lower", "sweep.min") if i == 0 else ("upper", "sweep.max")
+        raise ConfigError(f"the detected signal peaks at the {end} end of the "
+                          f"sweep grid (z_R = {opt.grid[i]:g} m), so the "
+                          f"optimum may lie beyond it; move {key}")
+
+
 def cmd_design(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
@@ -214,6 +226,7 @@ def cmd_design(args) -> int:
         opt.detected_signal, [row.astuple() for row in opt.rows],
         [v for v in (*report.values(), *report["recommended_lens"].values())
          if isinstance(v, float)])
+    _check_interior(opt)
     designer.write_sweep_csv(opt.rows, out / "sweep.csv")
     atomic_write(out / "design_report.json",
                  json.dumps(report, indent=2) + "\n")
@@ -234,10 +247,12 @@ def cmd_sweep(args) -> int:
         cfm_focal = parse_quantity(args.cfm_focal, "length")
         spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
                                   cfg.sweep_context())
+        opt = designer.optimal_rayleigh(spec)
         table = designer.cfm_comparison(spec, cfm_focal,
-                                        np.geomspace(lo, hi, n))
+                                        np.geomspace(lo, hi, n), opt)
         # the ratio is positive exactly when the optimum's signal is
         _check_design_output(min(ratio for _, ratio in table), table)
+        _check_interior(opt)
         lines = ["proportion,lrcfm_cfm_ratio"]
         lines += [f"{repr(float(p))},{repr(float(r))}" for p, r in table]
         path = out / "cfm_comparison.csv"
@@ -287,18 +302,18 @@ def cmd_map(args) -> int:
     manifest = json.loads(manifest_path.read_text())
     where = f"manifest {manifest_path}"
     base = manifest_path.parent
-    records = []
-    for pixel in _entry(manifest, "pixels", where, list):
-        series = pulse_fit.TimeSeries.from_csv(
-            base / _entry(pixel, "file", where, str))
-        records.append((_entry(pixel, "x_um", where, _NUMBER) * 1e-6,
-                        _entry(pixel, "y_um", where, _NUMBER) * 1e-6, series))
+    pixels = _entry(manifest, "pixels", where, list)
+    data = mapping.Dataset(
+        np.array([_entry(p, "x_um", where, _NUMBER) * 1e-6 for p in pixels]),
+        np.array([_entry(p, "y_um", where, _NUMBER) * 1e-6 for p in pixels]),
+        traces.read_traces([os.path.join(base, _entry(p, "file", where, str))
+                            for p in pixels]))
     pitch = None
     if args.pitch is not None:
         pitch = parse_quantity(args.pitch, "length")
     elif "pitch_um" in manifest:
         pitch = _entry(manifest, "pitch_um", where, _NUMBER) * 1e-6
-    pixel_map = mapping.assemble(records, args.model, pitch=pitch)
+    pixel_map = mapping.assemble(data, args.model, pitch=pitch)
     try:
         map_stats = mapping.stats(pixel_map)
     except ValueError:
@@ -350,12 +365,15 @@ def cmd_simulate(args) -> int:
                                 args.seed, origin=origin, pitch=pitch)
     out = _out_dir(args)
     pixels = []
-    for x, y, series in records:
+    for x, y, _ in records:
         ix = int(round((x - origin[0]) / pitch))
         iy = int(round((y - origin[1]) / pitch))
-        name = f"pixel_{iy:03d}_{ix:03d}.csv"
-        series.to_csv(out / name)
-        pixels.append({"x_um": x * 1e6, "y_um": y * 1e6, "file": name})
+        pixels.append({"x_um": x * 1e6, "y_um": y * 1e6,
+                       "file": f"pixel_{iy:03d}_{ix:03d}.csv"})
+    signal = np.reshape([series.signal for _, _, series in records],
+                        (len(records), len(tau)))
+    traces.write_traces([out / pixel["file"] for pixel in pixels],
+                        traces.Traces(tau, signal))
     manifest = {"model": args.model, "pitch_um": pitch * 1e6,
                 "noise_sigma": args.noise, "seed": args.seed,
                 "pixels": pixels}

@@ -343,12 +343,14 @@ def recommend_lens(catalog: LensCatalog, spec: SweepSpec) -> LensChoice:
     return max(choices, key=lambda choice: choice.detected_signal)
 
 
-def cfm_comparison(spec: SweepSpec, cfm_focal: float,
-                   proportion_grid) -> list[tuple[float, float]]:
+def cfm_comparison(spec: SweepSpec, cfm_focal: float, proportion_grid,
+                   optimum: OptimalResult | None = None
+                   ) -> list[tuple[float, float]]:
     """LRCFM-to-CFM detected-signal ratio as a function of the CFM
     detection proportion.
 
-    LRCFM is evaluated at its optimum Rayleigh length with detection
+    LRCFM is evaluated at its optimum Rayleigh length (`optimum`, the
+    `optimal_rayleigh` of spec, found here when not given) with detection
     proportion 1; the CFM reference uses the given focal length with the
     same lens radius and each grid proportion.
     """
@@ -358,7 +360,9 @@ def cfm_comparison(spec: SweepSpec, cfm_focal: float,
     if np.any(proportions <= 0) or np.any(proportions > 1):
         raise ValueError("proportions must lie in (0, 1]")
     ctx = spec.context
-    lrcfm_signal = optimal_rayleigh(spec).detected_signal
+    if optimum is None:
+        optimum = optimal_rayleigh(spec)
+    lrcfm_signal = optimum.detected_signal
     cfm_zr = beam_optics.rayleigh_length(
         beam_optics.waist_from_lens(cfm_focal, ctx.incident_beam_diameter,
                                     ctx.wavelength), ctx.wavelength)

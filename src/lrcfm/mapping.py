@@ -16,7 +16,7 @@ import numpy as np
 
 from . import pulse_fit
 from .io import atomic_write
-from .pulse_fit import TimeSeries
+from .traces import TimeSeries, stack_series
 
 QUANTITIES = ("pi_time", "t1", "t2", "custom")
 # why a fitted pixel is missing, in the order stats.json reports them
@@ -84,63 +84,87 @@ class MapStats:
                 "n_derive_failed": self.n_derive_failed}
 
 
+@dataclass(frozen=True)
+class Dataset:
+    """The pixels of a map: coordinates x and y (m,), in meters, and their
+    traces as `Traces` stacks whose `rows` index the coordinates, as
+    `read_traces` returns them."""
+
+    x: np.ndarray
+    y: np.ndarray
+    traces: list
+
+    @classmethod
+    def from_records(cls, records) -> "Dataset":
+        """From (x, y, TimeSeries) records."""
+        records = list(records)
+        return cls(np.array([r[0] for r in records], dtype=float),
+                   np.array([r[1] for r in records], dtype=float),
+                   stack_series([r[2] for r in records]))
+
+
 def assemble(records, model: str, derive=None, pitch: float | None = None,
              quantity: str | None = None, units: str | None = None) -> PixelMap:
-    """Fit every (x, y, TimeSeries) record and place the derived scalar on
-    a regular grid.
+    """Fit every pixel and place the derived scalar on a regular grid.
 
-    Coordinates must snap to a common grid (tolerance pitch/100); the
-    pitch is inferred from coordinate spacing when not given. Records
-    that share a tau grid are fitted as one batch (`pulse_fit.fit_many`).
+    `records` is a Dataset, or (x, y, TimeSeries) records. Coordinates
+    must snap to a common grid (tolerance pitch/100); the pitch is
+    inferred from coordinate spacing when not given. Each stack of traces
+    that share a tau grid is fitted as one batch (`pulse_fit.fit_many`).
     Failed pixels stay missing, and are counted per reason in FAILURES.
     """
-    records = list(records)
-    if not records:
+    data = records if isinstance(records, Dataset) else \
+        Dataset.from_records(records)
+    xs, ys = data.x, data.y
+    if not xs.size:
         raise ValueError("no records to assemble")
     if derive is None:
         quantity, units, derive = _DEFAULT_DERIVE[model]
     else:
         quantity = quantity or "custom"
         units = units or ""
-    xs = np.array([r[0] for r in records], dtype=float)
-    ys = np.array([r[1] for r in records], dtype=float)
     if pitch is None:
         pitch = _infer_pitch(xs, ys)
     x0, y0 = float(np.min(xs)), float(np.min(ys))
     nx = int(round((np.max(xs) - x0) / pitch)) + 1
     ny = int(round((np.max(ys) - y0) / pitch)) + 1
-    values = np.full((ny, nx), np.nan)
-    cells, seen = [], set()
-    for x, y, _ in records:
-        ix = _snap((x - x0) / pitch, x, "x")
-        iy = _snap((y - y0) / pitch, y, "y")
-        if (iy, ix) in seen:
-            raise ValueError(f"duplicate record at (x={x:g}, y={y:g})")
-        seen.add((iy, ix))
-        cells.append((iy, ix))
-    results = pulse_fit.fit_many(model, [series for _, _, series in records])
+    cell = _cells(xs, ys, x0, y0, pitch, nx)
+    values = np.full(ny * nx, np.nan)
     failures = dict.fromkeys(FAILURES, 0)
-    for cell, result in zip(cells, results):
+    for k, result in enumerate(pulse_fit.fit_many(model, data.traces)):
         if result is None:
             failures["unidentifiable"] += 1
         elif not result.converged:
             failures["not_converged"] += 1
         else:
             try:
-                values[cell] = derive(result)
+                values[cell[k]] = derive(result)
             except ValueError:
                 failures["derive_failed"] += 1
     return PixelMap(origin=(x0, y0), pitch=float(pitch), nx=nx, ny=ny,
-                    values=values, quantity=quantity, units=units,
-                    failures=failures)
+                    values=values.reshape(ny, nx), quantity=quantity,
+                    units=units, failures=failures)
 
 
-def _snap(index: float, coordinate: float, axis: str) -> int:
-    nearest = round(index)
-    if abs(index - nearest) > 0.01:  # grid tolerance pitch/100
-        raise ValueError(f"record at {axis} = {coordinate:g} is off the "
-                         "pixel grid")
-    return int(nearest)
+def _cells(xs, ys, x0, y0, pitch, nx):
+    """Flat grid cell iy * nx + ix of each record. The first record that
+    is off the grid (tolerance pitch/100) or lands on a cell an earlier
+    record took is an error."""
+    fx, fy = (xs - x0) / pitch, (ys - y0) / pitch
+    ix, iy = np.round(fx), np.round(fy)
+    off_x, off_y = np.abs(fx - ix) > 0.01, np.abs(fy - iy) > 0.01
+    cell = iy.astype(int) * nx + ix.astype(int)
+    first = np.zeros(cell.size, dtype=bool)
+    first[np.unique(cell, return_index=True)[1]] = True
+    bad = off_x | off_y | ~first
+    if bad.any():
+        k = int(np.argmax(bad))
+        if off_x[k] or off_y[k]:
+            axis, coordinate = ("x", xs[k]) if off_x[k] else ("y", ys[k])
+            raise ValueError(f"record at {axis} = {coordinate:g} is off the "
+                             "pixel grid")
+        raise ValueError(f"duplicate record at (x={xs[k]:g}, y={ys[k]:g})")
+    return cell
 
 
 def _infer_pitch(xs, ys) -> float:

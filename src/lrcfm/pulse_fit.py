@@ -23,10 +23,16 @@ The covariance is that of all parameters, from the full-model Jacobian at
 the solution.
 
 There is one engine, `_variable_projection`, and it works on a stack of
-rows: `fit_many` puts every trace of a map that shares a tau grid into
-one batch, one row per trace, and `fit` is a batch of one trace. Each row
-keeps its own damping, accept/reject rule and stopping test, so a trace's
-result does not depend on the batch it was fitted in.
+rows: `fit_many` fits each `Traces` stack (every trace of a map that
+shares a tau grid) as one batch, one row per trace, and `fit` is a batch
+of one trace. The automatic starts, the covariances and the rabi fold
+below are computed for the whole stack at once. Each row keeps its own
+damping, accept/reject rule and stopping test, so a trace's result does
+not depend on the batch it was fitted in.
+
+The traces come from pixel files (format in `lrcfm.traces`): `map`
+reads a whole manifest with `read_traces`, which converts each distinct
+tau column once, into the stacks `fit_many` takes.
 
 On a uniform tau grid (step dtau) the rabi frequencies a3 and
 +-a3 + k/dtau give identical samples; a fit that lands on such an alias
@@ -38,11 +44,11 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .io import atomic_write
+from .traces import TimeSeries, Traces, stack_series
 
 MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
 
@@ -60,64 +66,6 @@ _LANES = 96
 
 class UnidentifiableDataError(ValueError):
     """The data cannot constrain the model (e.g. constant signal)."""
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """A pulse-measurement trace: delay times, readings, optional errors."""
-
-    tau: np.ndarray
-    signal: np.ndarray
-    sigma: np.ndarray | None = None
-
-    def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "signal", signal)
-        if tau.ndim != 1 or signal.shape != tau.shape:
-            raise ValueError("tau and signal must be 1-d arrays of equal length")
-        if np.any(np.diff(tau) <= 0):
-            raise ValueError("tau must be strictly increasing")
-        if np.any(~np.isfinite(tau)) or np.any(~np.isfinite(signal)):
-            raise ValueError("tau and signal must be finite")
-        if self.sigma is not None:
-            sigma = np.asarray(self.sigma, dtype=float)
-            object.__setattr__(self, "sigma", sigma)
-            if sigma.shape != tau.shape or np.any(sigma <= 0):
-                raise ValueError("sigma must match tau and be positive")
-
-    def __len__(self):
-        return self.tau.size
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        path = Path(path)
-        lines = [l for l in path.read_text().splitlines() if l.strip()]
-        if not lines:
-            raise ValueError(f"{path}: empty file")
-        header = [h.strip() for h in lines[0].split(",")]
-        if header not in (["tau_s", "signal"], ["tau_s", "signal", "sigma"]):
-            raise ValueError(f"{path}: expected header 'tau_s,signal[,sigma]', "
-                             f"got {lines[0]!r}")
-        rows = [line.split(",") for line in lines[1:]]
-        if not rows or any(len(row) != len(header) for row in rows):
-            raise ValueError(f"{path}: ragged rows")
-        data = np.array(rows, dtype=float)  # parses each value as float()
-        sigma = data[:, 2] if len(header) == 3 else None
-        return cls(data[:, 0], data[:, 1], sigma)
-
-    def to_csv(self, path) -> None:
-        """Write the trace with full round-trip precision, atomically."""
-        cols = [self.tau, self.signal]
-        header = "tau_s,signal"
-        if self.sigma is not None:
-            cols.append(self.sigma)
-            header += ",sigma"
-        lines = [header]
-        lines += [",".join(map(repr, row))
-                  for row in np.column_stack(cols).tolist()]
-        atomic_write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -217,76 +165,79 @@ def fit(model: str, data: TimeSeries, init=None,
     nonlinear parameters < step_tol (default 1e-8) within 200 iterations;
     a non-converged fit is returned with converged=False rather than
     raised. Of `init` only the nonlinear entries are used (a2, and a3 for
-    rabi and t2).
+    rabi and t2). A batch of one trace: the result is that of `fit_many`.
     """
-    return _fit_group(model, [data], [_start(model, data, init)],
-                      step_tol)[0]
+    traces, theta = _starts(model, stack_series([data])[0], init)
+    if not len(traces):
+        raise UnidentifiableDataError(
+            f"constant signal cannot constrain a {model} model")
+    return _fit_stack(model, traces, theta, step_tol)[0]
 
 
 def fit_many(model: str, series) -> list[FitResult | None]:
-    """Fit every trace of `series` from its automatic start, as `fit` would
-    one at a time; None marks a constant (unidentifiable) trace.
+    """Fit every trace from its automatic start, as `fit` would one at a
+    time; None marks a constant (unidentifiable) trace.
 
-    Traces that share a tau grid are fitted together, one row of a batch
-    per trace; each result is bitwise equal to the lone `fit` of its
-    trace.
+    `series` is a list of TimeSeries, or of Traces stacks whose `rows`
+    together number the traces 0..m-1 (as `read_traces` returns them);
+    the results are in that order. The traces of a stack are fitted
+    together, one row of a batch per trace; each result is bitwise equal
+    to the lone `fit` of its trace.
     """
-    results = [None] * len(series)
-    groups = {}
-    for index, data in enumerate(series):
-        try:
-            start = _start(model, data)
-        except UnidentifiableDataError:
-            continue
-        groups.setdefault(data.tau.tobytes(), []).append((index, data, start))
-    for members in groups.values():
-        indices, group, starts = zip(*members)
-        for index, result in zip(
-                indices, _fit_group(model, group, starts, STEP_TOLERANCE)):
-            results[index] = result
+    stacks = [s for s in series if isinstance(s, Traces)]
+    if len(stacks) != len(series):
+        stacks = stack_series(series)
+    results = [None] * sum(len(traces) for traces in stacks)
+    for traces in stacks:
+        traces, theta = _starts(model, traces)
+        if len(traces):
+            for row, result in zip(traces.rows, _fit_stack(
+                    model, traces, theta, STEP_TOLERANCE)):
+                results[row] = result
     return results
 
 
-def _start(model: str, data: TimeSeries, init=None) -> np.ndarray:
-    """Validate `data` for `model`; the starting nonlinear parameters, as
-    logarithms, shape (q,)."""
+def _starts(model: str, traces: Traces, init=None):
+    """Validate a stack for `model`. Returns its identifiable traces (those
+    whose signal is not constant) and their starting nonlinear
+    parameters, as logarithms, shape (k, q)."""
     arity = MODEL_ARITY.get(model)
     if arity is None:
         raise ValueError(f"unknown model {model!r}")
-    if len(data) < arity + 1:
+    if len(traces.tau) < arity + 1:
         raise ValueError(f"{model} fit needs at least {arity + 1} points, "
-                         f"got {len(data)}")
-    if np.ptp(data.signal) == 0.0:
-        raise UnidentifiableDataError(
-            f"constant signal cannot constrain a {model} model")
+                         f"got {len(traces.tau)}")
+    identifiable = np.ptp(traces.signal, axis=1) != 0.0
+    if not identifiable.all():
+        traces = traces.take(identifiable)
+    nonlinear = list(_NONLINEAR[model])
+    if not len(traces):
+        return traces, np.empty((0, len(nonlinear)))
     if init is None:
-        a = auto_init(model, data)
+        a = auto_init(model, traces)
     else:
         a = np.asarray(init, dtype=float)
         if a.shape != (arity,):
             raise ValueError(f"init must have {arity} parameters")
-    for i in _NONLINEAR[model]:
-        if not a[i] > 0:
-            raise ValueError(f"parameter a{i + 1} of {model} must be positive")
-    return np.log(a[list(_NONLINEAR[model])])
+        a = np.broadcast_to(a, (len(traces), arity))
+    bad = np.argwhere(~(a[:, nonlinear] > 0))
+    if bad.size:
+        i = nonlinear[bad[0, 1]]
+        raise ValueError(f"parameter a{i + 1} of {model} must be positive")
+    return traces, np.log(a[:, nonlinear])
 
 
-def _fit_group(model, group, starts, step_tol) -> list[FitResult]:
-    """Fit traces that share one tau grid, each from its own start (log
-    nonlinear parameters); the covariance comes from the full-parameter
-    Jacobian at the solution."""
-    tau = group[0].tau
-    signal = np.stack([data.signal for data in group])
-    sigma = None
-    if any(data.sigma is not None for data in group):
-        sigma = np.stack([data.sigma if data.sigma is not None
-                          else np.ones(len(data)) for data in group])
+def _fit_stack(model, traces, theta, step_tol) -> list[FitResult]:
+    """Fit each trace of a stack from its start theta (log nonlinear
+    parameters); the covariance comes from the full-parameter Jacobian
+    at the solution."""
+    tau, signal, sigma = traces.tau, traces.signal, traces.sigma
     theta, coef, cost, converged, iterations = _variable_projection(
-        model, tau, signal, sigma, np.stack(starts), step_tol)
+        model, tau, signal, sigma, theta, step_tol)
     a = _full_params(model, _positive(theta), coef)
-    jtj = np.empty((len(group), a.shape[1], a.shape[1]))
-    rms = np.empty(len(group))
-    for lo in range(0, len(group), _LANES):  # bounded working set
+    jtj = np.empty((len(a), a.shape[1], a.shape[1]))
+    rms = np.empty(len(a))
+    for lo in range(0, len(a), _LANES):  # bounded working set
         rows = slice(lo, lo + _LANES)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jb = _log_jacobian(model, tau, a[rows],
@@ -294,17 +245,14 @@ def _fit_group(model, group, starts, step_tol) -> list[FitResult]:
             jtj[rows] = jb.transpose(0, 2, 1) @ jb
             raw = model_eval(model, tau, a[rows]) - signal[rows]
         rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
-    results = []
-    for i in range(len(group)):
-        cov = _covariance(model, a[i], jtj[i], cost[i], len(tau))
-        params = a[i]
-        if model == "rabi":
-            params, cov = _canonicalize_rabi(params, cov, tau)
-        results.append(FitResult(
-            model=model, params=params, covariance=cov,
-            residual_rms=float(rms[i]), converged=bool(converged[i]),
-            iterations=int(iterations[i])))
-    return results
+    cov = _covariance(model, a, jtj, cost, len(tau))
+    if model == "rabi":
+        a, cov = _canonicalize_rabi(a, cov, tau)
+    return [FitResult(model=model, params=params, covariance=c,
+                      residual_rms=r, converged=ok, iterations=n)
+            for params, c, r, ok, n in zip(
+                a, cov, rms.tolist(), converged.tolist(),
+                iterations.tolist())]
 
 
 def _log_jacobian(model, tau, a, sigma):
@@ -476,102 +424,124 @@ def _solve_rows(matrices, rhs):
 
 
 def _canonicalize_rabi(a, cov, tau):
-    """Resolve the gauges of a rabi fit. On a uniform tau grid (step dtau,
-    start tau0), a3 and +-a3 + k/dtau give the same samples: fold a3 into
-    [0, 1/(2 dtau)], adjusting a4 so the samples are unchanged. Then
-    resolve (a1, a4) ~ (-a1, a4 + pi): amplitude >= 0, phase wrapped to
-    (-pi, pi]. The covariance follows the sign changes elementwise, so
+    """Resolve the gauges of rabi fits: parameters a (5,) or (N, 5) and
+    their covariances (5, 5) or (N, 5, 5). On a uniform tau grid (step
+    dtau, start tau0), a3 and +-a3 + k/dtau give the same samples: fold
+    a3 into [0, 1/(2 dtau)], adjusting a4 so the samples are unchanged.
+    Then resolve (a1, a4) ~ (-a1, a4 + pi): amplitude >= 0, phase wrapped
+    to (-pi, pi]. The covariance follows the sign changes elementwise, so
     infinite entries stay infinite."""
-    a = a.copy()
-    sign = np.ones(5)
+    single = np.ndim(a) == 1
+    a = np.array(a, dtype=float, ndmin=2)
+    cov = np.array(cov, dtype=float, ndmin=3)
+    sign = np.ones_like(a)
     dtau = (tau[-1] - tau[0]) / (len(tau) - 1)
     if np.all(np.abs(np.diff(tau) - dtau) <= 1e-9 * dtau):
         rate = 1.0 / dtau
-        k = np.floor(a[2] / rate)
-        if k:
-            a[2] -= k * rate
-            a[3] += 2 * np.pi * k * tau[0] / dtau
-        if a[2] > 0.5 * rate:
-            a[2] = rate - a[2]
-            a[3] = -(a[3] + 2 * np.pi * tau[0] / dtau)
-            sign[[2, 3]] = -1.0
-    if a[0] < 0:
-        a[0] = -a[0]
-        a[3] += np.pi
-        sign[0] = -1.0
-    a[3] = -((-a[3] + np.pi) % (2 * np.pi) - np.pi)  # wrap to (-pi, pi]
-    if np.any(sign < 0):
-        cov = cov * np.outer(sign, sign)
-    return a, cov
+        k = np.floor(a[:, 2] / rate)
+        s = k != 0  # also true for NaN, which leaves the row NaN
+        a[s, 2] -= k[s] * rate
+        a[s, 3] += 2 * np.pi * k[s] * tau[0] / dtau
+        s = a[:, 2] > 0.5 * rate
+        a[s, 2] = rate - a[s, 2]
+        a[s, 3] = -(a[s, 3] + 2 * np.pi * tau[0] / dtau)
+        sign[s, 2:4] = -1.0
+    s = a[:, 0] < 0
+    a[s, 0] = -a[s, 0]
+    a[s, 3] += np.pi
+    sign[s, 0] = -1.0
+    a[:, 3] = -((-a[:, 3] + np.pi) % (2 * np.pi) - np.pi)  # wrap to (-pi, pi]
+    s = np.any(sign < 0, axis=1)
+    cov[s] = cov[s] * (sign[s, :, None] * sign[s, None, :])
+    return (a[0], cov[0]) if single else (a, cov)
 
 
 def _covariance(model, a, jtj, cost, n):
-    p = MODEL_ARITY[model]
-    dof = max(n - p, 1)
+    """Covariances (N, arity, arity) of parameter rows a (N, arity), from
+    the log-parameter normal matrices jtj and the costs of the fits."""
+    dof = max(n - MODEL_ARITY[model], 1)
     s2 = cost / dof
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            cov_b = s2 * np.linalg.inv(jtj)
-        except np.linalg.LinAlgError:
-            cov_b = s2 * np.linalg.pinv(jtj)
-        scale = np.ones(p)
+            inverse = np.linalg.inv(jtj)
+        except np.linalg.LinAlgError:  # some row is singular
+            inverse = np.empty_like(jtj)
+            for i, matrix in enumerate(jtj):
+                try:
+                    inverse[i] = np.linalg.inv(matrix)
+                except np.linalg.LinAlgError:
+                    inverse[i] = np.linalg.pinv(matrix)
+        cov_b = s2[:, None, None] * inverse
+        scale = np.ones_like(a)
         for i in _NONLINEAR[model]:
-            scale[i] = a[i]
-        cov = cov_b * np.outer(scale, scale)  # d a / d log(a) chain rule
-        return 0.5 * (cov + cov.T)
+            scale[:, i] = a[:, i]
+        # d a / d log(a) chain rule
+        cov = cov_b * (scale[:, :, None] * scale[:, None, :])
+        return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
-def auto_init(model: str, data: TimeSeries) -> np.ndarray:
-    """Data-driven starting parameters."""
-    tau, y = data.tau, data.signal
+def auto_init(model: str, data) -> np.ndarray:
+    """Data-driven starting parameters: shape (arity,) for a TimeSeries,
+    (m, arity) for the m rows of a Traces stack."""
+    tau = data.tau
+    y = np.atleast_2d(data.signal)
+    m = len(y)
     span = float(tau[-1] - tau[0]) or float(tau[-1]) or 1.0
     if model == "rabi":
-        mean = float(np.mean(y))
-        amp = 2.0 * float(np.sqrt(np.mean((y - mean) ** 2)))
+        mean = np.mean(y, axis=1)
+        amp = 2.0 * np.sqrt(np.mean((y - mean[:, None]) ** 2, axis=1))
         freq = _dominant_frequency(tau, y)
         if freq is None:
             warnings.warn("too few points for spectral frequency init; "
                           "falling back to one oscillation per span")
-            freq = 1.0 / span
-        return np.array([amp if amp > 0 else 1.0, span / 2.0, freq, 0.0, mean])
-    if model == "t1":
-        n_tail = max(3, len(data) // 5)
-        tail = float(np.mean(y[-n_tail:]))
-        a1 = float(y[0]) - tail
+            freq = np.full(m, 1.0 / span)
+        a = np.column_stack([np.where(amp > 0, amp, 1.0),
+                             np.full(m, span / 2.0), freq, np.zeros(m), mean])
+    elif model == "t1":
+        n_tail = max(3, len(tau) // 5)
+        tail = np.mean(y[:, -n_tail:], axis=1)
+        a1 = y[:, 0] - tail
         a2 = _one_over_e_time(tau, y, baseline=tail, amplitude=a1,
                               fallback=span / 3.0)
-        return np.array([a1 if a1 != 0 else 1.0, a2, tail])
-    if model == "t2":
-        a1 = float(y[0]) if y[0] != 0 else float(np.max(np.abs(y))) or 1.0
+        a = np.column_stack([np.where(a1 != 0, a1, 1.0), a2, tail])
+    elif model == "t2":
+        peak = np.max(np.abs(y), axis=1)
+        a1 = np.where(y[:, 0] != 0, y[:, 0], np.where(peak != 0, peak, 1.0))
         a2 = _one_over_e_time(tau, y, baseline=0.0, amplitude=a1,
                               fallback=span / 3.0)
-        return np.array([a1, a2, 1.0])
-    raise ValueError(f"unknown model {model!r}")
+        a = np.column_stack([a1, a2, np.ones(m)])
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return a[0] if np.ndim(data.signal) == 1 else a
 
 
 def _dominant_frequency(tau, y):
-    """Frequency of the largest nonzero DFT bin after uniform resampling."""
+    """Per row of y, the frequency of the largest nonzero DFT bin after
+    uniform resampling; None for fewer than 8 points."""
     n = len(tau)
     if n < 8:
         return None
     grid = np.linspace(tau[0], tau[-1], n)
-    resampled = np.interp(grid, tau, y)
-    spectrum = np.abs(np.fft.rfft(resampled - np.mean(resampled)))
-    if spectrum.size < 2:
-        return None
-    k = 1 + int(np.argmax(spectrum[1:]))
+    # np.interp returns the samples themselves on their own grid
+    resampled = y if np.array_equal(grid, tau) else np.array(
+        [np.interp(grid, tau, row) for row in y])
+    spectrum = np.abs(np.fft.rfft(
+        resampled - np.mean(resampled, axis=1, keepdims=True), axis=1))
+    k = 1 + np.argmax(spectrum[:, 1:], axis=1)
     return k / (grid[-1] - grid[0])
 
 
 def _one_over_e_time(tau, y, baseline, amplitude, fallback):
-    if amplitude == 0:
-        return fallback
-    norm = (y - baseline) / amplitude
-    below = np.nonzero(norm < np.exp(-1.0))[0]
-    first = below[0] if below.size else None
-    if first is None or first == 0 or tau[first] <= 0:
-        return fallback
-    return float(tau[first])
+    """Per row of y, the first tau at which (y - baseline) / amplitude
+    falls below 1/e; `fallback` where there is none, where it is the
+    first sample or not positive, or where the amplitude is 0."""
+    baseline = np.reshape(baseline, (-1, 1))
+    zero = amplitude == 0
+    norm = (y - baseline) / np.where(zero, 1.0, amplitude)[:, None]
+    below = norm < np.exp(-1.0)
+    first = np.argmax(below, axis=1)
+    found = below.any(axis=1) & (first != 0) & (tau[first] > 0) & ~zero
+    return np.where(found, tau[first], fallback)
 
 
 def pi_time(rabi_result: FitResult) -> float:

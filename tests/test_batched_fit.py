@@ -14,10 +14,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from lrcfm import mapping, pulse_fit
 from lrcfm.pulse_fit import (MODEL_ARITY, STEP_TOLERANCE, MAX_ITERATIONS,
                              FitResult, TimeSeries, UnidentifiableDataError,
                              auto_init, model_eval, model_jacobian)
+from lrcfm.traces import Traces, read_traces, write_traces
 
 # ---------------------------------------------------------------------------
 # scalar oracle (verbatim)
@@ -441,11 +444,232 @@ def test_covariance_follows_the_fold():
 
 
 # ---------------------------------------------------------------------------
-# CSV reader against the former per-value parser
+# the former per-trace starts, covariance and fold (verbatim), and the
+# fit_many they made with the same engine: the stacked path must equal it
+# bitwise
+# ---------------------------------------------------------------------------
+
+
+def former_auto_init(model, data):
+    tau, y = data.tau, data.signal
+    span = float(tau[-1] - tau[0]) or float(tau[-1]) or 1.0
+    if model == "rabi":
+        mean = float(np.mean(y))
+        amp = 2.0 * float(np.sqrt(np.mean((y - mean) ** 2)))
+        freq = _former_dominant_frequency(tau, y)
+        if freq is None:
+            freq = 1.0 / span
+        return np.array([amp if amp > 0 else 1.0, span / 2.0, freq, 0.0, mean])
+    if model == "t1":
+        n_tail = max(3, len(data) // 5)
+        tail = float(np.mean(y[-n_tail:]))
+        a1 = float(y[0]) - tail
+        a2 = _former_one_over_e_time(tau, y, baseline=tail, amplitude=a1,
+                                     fallback=span / 3.0)
+        return np.array([a1 if a1 != 0 else 1.0, a2, tail])
+    a1 = float(y[0]) if y[0] != 0 else float(np.max(np.abs(y))) or 1.0
+    a2 = _former_one_over_e_time(tau, y, baseline=0.0, amplitude=a1,
+                                 fallback=span / 3.0)
+    return np.array([a1, a2, 1.0])
+
+
+def _former_dominant_frequency(tau, y):
+    n = len(tau)
+    if n < 8:
+        return None
+    grid = np.linspace(tau[0], tau[-1], n)
+    resampled = np.interp(grid, tau, y)
+    spectrum = np.abs(np.fft.rfft(resampled - np.mean(resampled)))
+    if spectrum.size < 2:
+        return None
+    k = 1 + int(np.argmax(spectrum[1:]))
+    return k / (grid[-1] - grid[0])
+
+
+def _former_one_over_e_time(tau, y, baseline, amplitude, fallback):
+    if amplitude == 0:
+        return fallback
+    norm = (y - baseline) / amplitude
+    below = np.nonzero(norm < np.exp(-1.0))[0]
+    first = below[0] if below.size else None
+    if first is None or first == 0 or tau[first] <= 0:
+        return fallback
+    return float(tau[first])
+
+
+def former_covariance(model, a, jtj, cost, n):
+    p = MODEL_ARITY[model]
+    dof = max(n - p, 1)
+    s2 = cost / dof
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cov_b = s2 * np.linalg.inv(jtj)
+        except np.linalg.LinAlgError:
+            cov_b = s2 * np.linalg.pinv(jtj)
+        scale = np.ones(p)
+        for i in _LOG_PARAMS[model]:
+            scale[i] = a[i]
+        cov = cov_b * np.outer(scale, scale)
+        return 0.5 * (cov + cov.T)
+
+
+def former_fold(a, cov, tau):
+    a = a.copy()
+    sign = np.ones(5)
+    dtau = (tau[-1] - tau[0]) / (len(tau) - 1)
+    if np.all(np.abs(np.diff(tau) - dtau) <= 1e-9 * dtau):
+        rate = 1.0 / dtau
+        k = np.floor(a[2] / rate)
+        if k:
+            a[2] -= k * rate
+            a[3] += 2 * np.pi * k * tau[0] / dtau
+        if a[2] > 0.5 * rate:
+            a[2] = rate - a[2]
+            a[3] = -(a[3] + 2 * np.pi * tau[0] / dtau)
+            sign[[2, 3]] = -1.0
+    if a[0] < 0:
+        a[0] = -a[0]
+        a[3] += np.pi
+        sign[0] = -1.0
+    a[3] = -((-a[3] + np.pi) % (2 * np.pi) - np.pi)
+    if np.any(sign < 0):
+        cov = cov * np.outer(sign, sign)
+    return a, cov
+
+
+def former_fit_many(model, series):
+    """One start per trace, traces grouped by tau grid (ones for missing
+    errors), the shared engine, then covariance and fold per trace."""
+    results = [None] * len(series)
+    groups = {}
+    for index, data in enumerate(series):
+        if np.ptp(data.signal) == 0.0:
+            continue
+        a = former_auto_init(model, data)
+        start = np.log(a[list(_LOG_PARAMS[model])])
+        groups.setdefault(data.tau.tobytes(), []).append((index, data, start))
+    for members in groups.values():
+        indices, group, starts = zip(*members)
+        tau = group[0].tau
+        signal = np.stack([data.signal for data in group])
+        sigma = None
+        if any(data.sigma is not None for data in group):
+            sigma = np.stack([data.sigma if data.sigma is not None
+                              else np.ones(len(data)) for data in group])
+        theta, coef, cost, converged, iterations = \
+            pulse_fit._variable_projection(model, tau, signal, sigma,
+                                           np.stack(starts), STEP_TOLERANCE)
+        a = pulse_fit._full_params(model, pulse_fit._positive(theta), coef)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jb = pulse_fit._log_jacobian(model, tau, a, sigma)
+            jtj = jb.transpose(0, 2, 1) @ jb
+            raw = model_eval(model, tau, a) - signal
+        rms = np.sqrt(np.mean(raw ** 2, axis=1))
+        for i, index in enumerate(indices):
+            cov = former_covariance(model, a[i], jtj[i], cost[i], len(tau))
+            params = a[i]
+            if model == "rabi":
+                params, cov = former_fold(params, cov, tau)
+            results[index] = FitResult(model, params, cov, float(rms[i]),
+                                       bool(converged[i]), int(iterations[i]))
+    return results
+
+
+def mixed_field(model, seed):
+    """A field with errors on some traces, a second tau grid on others and
+    one constant trace."""
+    series, _ = field(model, seed)
+    rng = np.random.default_rng(seed)
+    for i in range(0, len(series), 5):
+        s = series[i]
+        series[i] = TimeSeries(s.tau, s.signal,
+                               np.exp(rng.normal(-4, 0.5, len(s.tau))))
+    for i in range(2, len(series), 7):
+        s = series[i]
+        series[i] = TimeSeries(s.tau[::2], s.signal[::2],
+                               None if s.sigma is None else s.sigma[::2])
+    series[3] = TimeSeries(series[3].tau, np.full(len(series[3].tau), 0.25))
+    return series
+
+
+@pytest.mark.parametrize("model", ["t1", "t2", "rabi"])
+def test_stacked_path_equals_former_per_trace_path(model):
+    for series in (field(model, 7)[0], mixed_field(model, 8)):
+        want = former_fit_many(model, series)
+        got = pulse_fit.fit_many(model, series)
+        assert [r is None for r in got] == [r is None for r in want]
+        for new, old in zip(got, want):
+            assert new is None or same_result(new, old)
+
+
+def test_fit_many_takes_read_stacks(tmp_path):
+    series = mixed_field("t2", 9)
+    paths = [tmp_path / f"p{i}.csv" for i in range(len(series))]
+    for path, data in zip(paths, series):
+        data.to_csv(path)
+    stacks = read_traces(paths)
+    assert len(stacks) == 4  # two grids, with and without errors
+    got = pulse_fit.fit_many("t2", stacks)
+    for new, old in zip(got, former_fit_many("t2", series)):
+        assert (new is None and old is None) or same_result(new, old)
+
+
+@pytest.mark.filterwarnings("ignore:too few points")
+def test_starts_equal_former_per_trace_starts():
+    rng = np.random.default_rng(21)
+    uniform = np.linspace(0.0, 4e-6, 40)
+    grids = [uniform, np.sort(rng.uniform(0, 1e-3, 40)),  # interpolated
+             uniform[:7], np.linspace(1e-6, 5e-6, 9)]
+    for tau in grids:
+        y = rng.normal(size=(12, len(tau))) * np.exp(rng.uniform(-5, 5, (12, 1)))
+        y[1] = np.linspace(1.0, 0.0, len(tau))  # decays through 1/e
+        y[2, 0] = 0.0                           # t2 falls back to max |y|
+        y[3] = y[3, -1]                          # t1 amplitude 0
+        y[3, 0] += 1e-3                          # but not constant
+        y[4, :] = 0.0
+        y[4, 3] = -2.0
+        for model in ("rabi", "t1", "t2"):
+            got = auto_init(model, Traces(tau, y))
+            for row, data in zip(got, y):
+                want = former_auto_init(model, TimeSeries(tau, data))
+                assert row.tobytes() == want.tobytes(), (model, len(tau))
+                assert auto_init(model, TimeSeries(tau, data)).tobytes() == \
+                    want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_covariance_and_fold_equal_former_per_row():
+    rng = np.random.default_rng(22)
+    n = 50
+    tau = np.linspace(0.3e-6, 4.3e-6, n)
+    rate = 1 / (tau[1] - tau[0])
+    a = np.column_stack([rng.normal(size=9), np.exp(rng.normal(-12, 1, 9)),
+                         rng.uniform(-2, 3, 9) * rate, rng.uniform(-9, 9, 9),
+                         rng.normal(size=9)])
+    a[4, 2] = np.nan
+    m = rng.normal(size=(9, 5, 5))
+    jtj = m @ m.transpose(0, 2, 1)
+    jtj[2, 4] = jtj[2, :, 4] = 0.0  # singular: the per-row pinv fallback
+    jtj[5, 1] = jtj[5, :, 1] = np.inf
+    cost = rng.uniform(0.1, 2, 9)
+    cov = pulse_fit._covariance("rabi", a, jtj, cost, n)
+    folded, folded_cov = pulse_fit._canonicalize_rabi(a, cov, tau)
+    for i in range(9):
+        want = former_covariance("rabi", a[i], jtj[i], cost[i], n)
+        assert cov[i].tobytes() == want.tobytes()
+        fa, fc = former_fold(a[i], want, tau)
+        assert folded[i].tobytes() == fa.tobytes()
+        assert folded_cov[i].tobytes() == fc.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# pixel-file reader against the former per-file, per-value parser
 # ---------------------------------------------------------------------------
 
 
 def scalar_read(path):
+    """The former reader: every non-blank line after the header, split on
+    commas, each value through float()."""
     lines = [l for l in path.read_text().splitlines() if l.strip()]
     return np.array([[float(v) for v in line.split(",")]
                      for line in lines[1:]])
@@ -474,16 +698,113 @@ def test_csv_reader_matches_per_value_parse(tmp_path, with_sigma):
         assert back.sigma is None
 
 
+def _integer_spelling(draw, value):
+    """Text that float() reads as the integer `value`."""
+    digits = str(abs(value))
+    form = draw(st.sampled_from(["plain", "underscore", "fullwidth",
+                                 "exponent", "point"]))
+    if form == "underscore" and len(digits) > 1:
+        cut = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:cut] + "_" + digits[cut:]
+    elif form == "fullwidth":
+        digits = "".join(chr(0xFF10 + int(d)) for d in digits)
+    elif form == "exponent":
+        digits = f"{digits}0E-1"
+    elif form == "point":
+        digits = f"{digits}." if value else ".0"
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    return sign + digits
+
+
+@st.composite
+def pixel_files(draw):
+    """(file texts, float columns per file) for a manifest that mixes two
+    tau grids, files with and without a sigma column, float() spellings,
+    CRLF and CR line ends, and blank lines between rows."""
+    grids = [sorted(draw(st.sets(st.integers(-50, 10**6), min_size=1,
+                                 max_size=9))) for _ in range(2)]
+    values = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10**7, 10**7).map(str),
+        st.sampled_from(["+.5", "-.5", "1E5", "1e-5", "1_000", "-0", "0.0"]))
+    texts = []
+    for _ in range(draw(st.integers(1, 5))):
+        tau = draw(st.sampled_from(grids))
+        width = draw(st.sampled_from([2, 3]))
+        pad = st.sampled_from(["", " ", "  ", "\t"])
+        header = ",".join(draw(pad) + name + draw(pad) for name in
+                          ("tau_s", "signal", "sigma")[:width])
+        rows = []
+        for t in tau:
+            fields = [_integer_spelling(draw, t), draw(values)]
+            if width == 3:
+                fields.append(str(draw(st.integers(1, 10**6))))
+            rows.append(",".join(draw(pad) + f + draw(pad) for f in fields))
+        lines = [header]
+        for row in rows:
+            lines += draw(st.lists(st.sampled_from(["", " ", "\t "]),
+                                   max_size=2))
+            lines.append(row)
+        end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        texts.append(end.join(lines) + draw(st.sampled_from(["", end])))
+    return texts
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=pixel_files())
+def test_stacked_reader_equals_per_file_parse(tmp_path_factory, texts):
+    tmp = tmp_path_factory.mktemp("pixels")
+    paths = [tmp / f"p{i}.csv" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text, newline="")
+    found = {}
+    for stack in read_traces(paths):
+        assert len(stack.tau) == stack.signal.shape[1]
+        for j, row in enumerate(stack.rows):
+            found[int(row)] = (stack.tau, stack.signal[j],
+                               None if stack.sigma is None else stack.sigma[j])
+    assert sorted(found) == list(range(len(paths)))
+    for i, path in enumerate(paths):
+        want = scalar_read(path)
+        tau, signal, sigma = found[i]
+        assert tau.tobytes() == want[:, 0].tobytes()
+        assert signal.tobytes() == want[:, 1].tobytes()
+        assert (sigma is None) == (want.shape[1] == 2)
+        if sigma is not None:
+            assert sigma.tobytes() == want[:, 2].tobytes()
+        alone = TimeSeries.from_csv(path)
+        assert alone.signal.tobytes() == signal.tobytes()
+
+
+GOOD = "tau_s,signal\n0,1\n1,0.5\n2,0.25\n"
+
+
 @pytest.mark.parametrize("text,message", [
     ("", "empty file"),
     ("\n \n", "empty file"),
     ("tau_s,signal\n", "ragged rows"),
     ("tau_s,signal\n0,1\n1,2,3\n", "ragged rows"),
     ("tau_s,signal,sigma\n0,1\n1,2\n", "ragged rows"),
+    ("tau_s,signal\n0\n1,2,3\n", "ragged rows"),  # widths that sum right
     ("tau_s,signal\n0,1\n1,x\n", "could not convert"),
+    ("tau_s,signal\n0,1\ny,2\n", "could not convert"),
+    ("tau_s,signal,sigma\n0,1,1\n1,2,1__0\n", "could not convert"),
+    ("time,counts\n0,1\n", "header"),
+    ("tau_s,signal,extra\n0,1,2\n", "header"),
+    ("tau_s,signal\n1,1\n0,2\n", "strictly increasing"),
+    ("tau_s,signal\n0,1\n1,inf\n", "finite"),
+    ("tau_s,signal,sigma\n0,1,1\n1,2,0\n", "sigma"),
 ])
 def test_csv_reader_errors(tmp_path, text, message):
+    """Each rejection names its file, alone or among good files."""
+    good = tmp_path / "good.csv"
+    good.write_text(GOOD)
     path = tmp_path / "bad.csv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message) as alone:
         TimeSeries.from_csv(path)
+    with pytest.raises(ValueError, match=message) as among:
+        read_traces([good, path, good])
+    for error in (alone, among):
+        assert str(path) in str(error.value)
+

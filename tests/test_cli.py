@@ -216,6 +216,29 @@ def test_absurd_magnitude_writes_nothing(config_dir, tmp_path, capsys,
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,edge", [
+    ("sample.thickness", "1 m", "sweep.max"),   # optimum far above the grid
+    ("sweep.min", "1 mm", "sweep.min"),         # grid starts above t/2
+])
+def test_optimum_on_grid_edge_writes_nothing(config_dir, tmp_path, capsys,
+                                             key, value, edge):
+    cfg = config_dir / "example_config.txt"
+    cfg.write_text("".join(
+        f"{key} = {value}\n" if line.split("=")[0].strip() == key else line
+        for line in cfg.read_text().splitlines(keepends=True)))
+    for command in (["design"],
+                    ["sweep", "--variable", "detection-proportion"]):
+        out = tmp_path / command[0]
+        capsys.readouterr()
+        assert run("--out", out, *command, "--config", cfg) == 2, command
+        err = capsys.readouterr().err
+        assert edge in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir()), command
+    # a plain sweep reports no optimum, so it still writes its curve
+    assert run("--out", tmp_path / "curve", "sweep", "--variable", "rayleigh",
+               "--config", cfg) == 0
+
+
 def test_fit_noiseless_recovers_truth(tmp_path):
     truth = np.array([1.0, 21.5e-6, 1.5])
     tau = np.linspace(0, 80e-6, 121)[1:]
@@ -277,6 +300,33 @@ def test_simulate_then_map(tmp_path):
     assert stats["mean"] == pytest.approx(21.5e-6, rel=0.02)
     map_json = json.loads((out / "map.json").read_text())
     assert map_json["nx"] == 2 and map_json["ny"] == 3
+
+
+def test_map_mixed_grids_and_errors_equals_lone_fits(tmp_path):
+    """A manifest whose pixel files use two tau grids, some with a sigma
+    column: each mapped value is the lone fit of its file."""
+    truth = np.array([1.0, 21.5e-6, 1.5])
+    rng = np.random.default_rng(5)
+    data = tmp_path / "data"
+    data.mkdir()
+    pixels = []
+    for k in range(12):
+        tau = np.linspace(1e-7, 80e-6, 120 if k % 3 else 61)
+        signal = pulse_fit.model_eval("t2", tau, truth) * rng.uniform(0.9, 1.1) \
+            + rng.normal(0, 0.01, tau.size)
+        sigma = np.full(tau.size, 0.01) if k % 4 == 1 else None
+        name = f"p{k}.csv"
+        pulse_fit.TimeSeries(tau, signal, sigma).to_csv(data / name)
+        pixels.append({"x_um": 50.0 * (k % 4), "y_um": 50.0 * (k // 4),
+                       "file": name})
+    (data / "manifest.json").write_text(json.dumps({"pixels": pixels}))
+    out = tmp_path / "out"
+    assert run("--out", out, "map", "--model", "t2", "--manifest", data) == 0
+    mapped = json.loads((out / "map.json").read_text())["values"]
+    for k, pixel in enumerate(pixels):
+        lone = pulse_fit.fit("t2", pulse_fit.TimeSeries.from_csv(
+            data / pixel["file"]))
+        assert mapped[k // 4][k % 4] == float(lone.params[1])
 
 
 def test_map_rabi_deterministic(tmp_path):

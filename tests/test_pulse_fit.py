@@ -3,6 +3,7 @@ import pytest
 
 from lrcfm import pulse_fit as pf
 from lrcfm.pulse_fit import TimeSeries, UnidentifiableDataError
+from lrcfm.traces import Traces, write_traces
 
 
 def wrap_phase(phi):
@@ -310,3 +311,24 @@ def test_to_csv_matches_former_writer(tmp_path):
         assert path.read_text() == former_to_csv_text(data)
     assert sorted(p.name for p in tmp_path.iterdir()) == \
         ["trace0.csv", "trace1.csv", "trace2.csv"]  # no temporary file
+    # a whole field through the stacked writer, which formats the shared
+    # tau column once, with and without errors and with the edge values
+    tau = np.concatenate([[0.0, 5e-324, 1e-300], np.cumsum(
+        np.exp(rng.normal(-10, 3, 27)))])
+    signal = rng.normal(size=(21, 30)) * np.exp(rng.uniform(-300, 300,
+                                                            (21, 30)))
+    signal[0, :edge.size] = edge
+    signal[1, :edge.size] = -edge
+    for sigma in (None, np.exp(rng.uniform(-700, 700, (21, 30)))):
+        field = tmp_path / ("plain" if sigma is None else "weighted")
+        field.mkdir()
+        paths = [field / f"pixel_{i:03d}.csv" for i in range(21)]
+        write_traces(paths, Traces(tau, signal, sigma))
+        for i, path in enumerate(paths):
+            data = TimeSeries(tau, signal[i],
+                              None if sigma is None else sigma[i])
+            assert path.read_text() == former_to_csv_text(data)
+        assert sorted(p.name for p in field.iterdir()) == \
+            [p.name for p in paths]  # no temporary file
+    with pytest.raises(ValueError, match="paths"):
+        write_traces(paths[:3], Traces(tau, signal, sigma))
