@@ -5,11 +5,11 @@ spatial mapping."""
 
 from importlib import resources
 
-from .beam_optics import (BeamGeometry, ExcitationRegion, excitation_region,
+from .beam_optics import (ExcitationRegion, excitation_region,
                           focal_length_for_rayleigh, rayleigh_length,
                           waist_from_lens)
-from .collection import (CollectionGeometry, FigureOfMerit, detection_proportion,
-                         detection_rate, figure_of_merit, numerical_aperture)
+from .collection import (FigureOfMerit, detection_proportion, detection_rate,
+                         figure_of_merit, numerical_aperture)
 from .nv_rates import (NvRateSet, PumpModel, SteadyState, cw_fluorescence,
                        load_rate_file, polarization, steady_state)
 from .pulse_fit import FitResult, TimeSeries, auto_init, fit, pi_time

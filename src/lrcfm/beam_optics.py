@@ -19,8 +19,6 @@ import numpy as np
 
 VOLUME_MODELS = ("clipped", "thickness")
 
-_CONSISTENCY_RTOL = 1e-12
-
 
 def rayleigh_length(w0: float, wavelength: float) -> float:
     """Rayleigh length pi * w0**2 / lambda of a Gaussian beam."""
@@ -47,43 +45,6 @@ def focal_length_for_rayleigh(zr: float, beam_diameter: float,
     _require_positive(rayleigh_length=zr, beam_diameter=beam_diameter,
                       wavelength=wavelength)
     return 0.5 * beam_diameter * np.sqrt(zr * math.pi / wavelength)
-
-
-@dataclass(frozen=True)
-class BeamGeometry:
-    """Excitation beam parameters. waist_radius and focal_length must be
-    mutually consistent through the lens relation w0 = 2*lambda*F/(pi*D)."""
-
-    wavelength: float
-    waist_radius: float
-    incident_beam_diameter: float
-    focal_length: float
-
-    def __post_init__(self):
-        _require_positive(wavelength=self.wavelength,
-                          waist_radius=self.waist_radius,
-                          incident_beam_diameter=self.incident_beam_diameter,
-                          focal_length=self.focal_length)
-        w0 = waist_from_lens(self.focal_length, self.incident_beam_diameter,
-                             self.wavelength)
-        if abs(w0 - self.waist_radius) > _CONSISTENCY_RTOL * self.waist_radius:
-            raise ValueError(
-                "waist_radius and focal_length are inconsistent: "
-                f"lens relation gives w0 = {w0}, got {self.waist_radius}")
-
-    @classmethod
-    def from_focal_length(cls, wavelength, beam_diameter, focal_length):
-        w0 = waist_from_lens(focal_length, beam_diameter, wavelength)
-        return cls(wavelength, w0, beam_diameter, focal_length)
-
-    @classmethod
-    def from_rayleigh_length(cls, wavelength, beam_diameter, zr):
-        f = focal_length_for_rayleigh(zr, beam_diameter, wavelength)
-        return cls.from_focal_length(wavelength, beam_diameter, f)
-
-    @property
-    def rayleigh_length(self) -> float:
-        return rayleigh_length(self.waist_radius, self.wavelength)
 
 
 @dataclass(frozen=True)

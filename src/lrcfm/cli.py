@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import beam_optics, collection, designer, mapping, pulse_fit, traces
+from . import (beam_optics, collection, designer, mapping, nv_rates,
+               pulse_fit, traces)
 from .config import ConfigError, load_config
 from .io import atomic_write
 from .units import parse_quantity
@@ -143,6 +144,15 @@ def _entry(obj, key: str, where: str, kind, default=None):
     return value
 
 
+def _count(obj, key: str, where: str) -> int:
+    """obj[key] as a whole number of at least 1."""
+    value = _entry(obj, key, where, _NUMBER)
+    if not (value >= 1 and float(value).is_integer()):
+        raise ConfigError(f"{where}: {key!r} must be a whole number of at "
+                          f"least 1, got {value!r}")
+    return int(value)
+
+
 def _floats(obj, key: str, where: str) -> np.ndarray:
     """obj[key] as a float array: a finite number or a (nested) list of
     finite numbers."""
@@ -218,16 +228,19 @@ def cmd_design(args) -> int:
         report["fiber_detection_proportion"] = collection.detection_proportion(
             cfg.fiber_core_diameter / 2.0, cfg.fiber_magnification,
             choice.waist_radius)
-    conditions = [row.condition_number for row in opt.rows]
+    rows = designer.sweep_rows(opt.grid, opt.merit)
+    conditions = nv_rates.condition_numbers(
+        spec.context.rates, spec.context.pump,
+        opt.merit.power_density).tolist()
     report["steady_state_condition_min"] = min(conditions)
     report["steady_state_condition_max"] = max(conditions)
     report["golden_evaluations"] = opt.golden_evaluations
     _check_design_output(
-        opt.detected_signal, [row.astuple() for row in opt.rows],
+        opt.detected_signal, [row.astuple() for row in rows],
         [v for v in (*report.values(), *report["recommended_lens"].values())
          if isinstance(v, float)])
     _check_interior(opt)
-    designer.write_sweep_csv(opt.rows, out / "sweep.csv")
+    designer.write_sweep_csv(rows, out / "sweep.csv")
     atomic_write(out / "design_report.json",
                  json.dumps(report, indent=2) + "\n")
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "
@@ -338,8 +351,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"truth file is for model {model!r}, "
                           f"--model says {args.model!r}")
     arity = pulse_fit.MODEL_ARITY[args.model]
-    nx = int(_entry(truth, "nx", where, _NUMBER))
-    ny = int(_entry(truth, "ny", where, _NUMBER))
+    nx = _count(truth, "nx", where)
+    ny = _count(truth, "ny", where)
     params = _floats(truth, "params", where)
     if params.shape == (arity,):
         params = np.broadcast_to(params, (ny, nx, arity)).copy()
@@ -348,11 +361,14 @@ def cmd_simulate(args) -> int:
                           f"{arity}) or ({arity},), got {params.shape}")
     if "tau_s" in truth:
         tau = _floats(truth, "tau_s", where)
+        if tau.ndim != 1 or not tau.size:
+            raise ConfigError(f"{where}: 'tau_s' must be a list of at least "
+                              "one delay")
     else:
         spec = _entry(truth, "tau", where, dict)
         tau = np.linspace(float(_entry(spec, "start_s", where, _NUMBER)),
                           float(_entry(spec, "stop_s", where, _NUMBER)),
-                          int(_entry(spec, "points", where, _NUMBER)))
+                          _count(spec, "points", where))
     origin = (0.0, 0.0)
     if "origin_um" in truth:
         origin = _floats(truth, "origin_um", where)
@@ -361,19 +377,15 @@ def cmd_simulate(args) -> int:
         origin = tuple(1e-6 * float(v) for v in origin)
     pitch = 1e-6 * float(_entry(truth, "pitch_um", where, _NUMBER,
                                 default=50.0))
-    records = mapping.synth_map(params, args.model, tau, args.noise,
-                                args.seed, origin=origin, pitch=pitch)
+    data = mapping.synth_map(params, args.model, tau, args.noise, args.seed,
+                             origin=origin, pitch=pitch)
     out = _out_dir(args)
-    pixels = []
-    for x, y, _ in records:
-        ix = int(round((x - origin[0]) / pitch))
-        iy = int(round((y - origin[1]) / pitch))
-        pixels.append({"x_um": x * 1e6, "y_um": y * 1e6,
-                       "file": f"pixel_{iy:03d}_{ix:03d}.csv"})
-    signal = np.reshape([series.signal for _, _, series in records],
-                        (len(records), len(tau)))
+    pixels = [{"x_um": x, "y_um": y, "file": f"pixel_{iy:03d}_{ix:03d}.csv"}
+              for (iy, ix), x, y in zip(np.ndindex(ny, nx),
+                                        (data.x * 1e6).tolist(),
+                                        (data.y * 1e6).tolist())]
     traces.write_traces([out / pixel["file"] for pixel in pixels],
-                        traces.Traces(tau, signal))
+                        *data.traces)
     manifest = {"model": args.model, "pitch_um": pitch * 1e6,
                 "noise_sigma": args.noise, "seed": args.seed,
                 "pixels": pixels}

@@ -6,8 +6,9 @@ emission: the fraction of photons inside the collection cone of
 half-angle theta is (1 - cos(theta)) / 2. The detection rate is that
 fraction normalized to NA = 1, which simplifies to 1 - sqrt(1 - NA^2).
 
-`merit` is the one detected-signal formula: `figure_of_merit` applies it
-to one beam, and the design sweep to whole arrays of focal lengths.
+`figure_of_merit` is the one detected-signal formula. It works
+elementwise on arrays, and the design core (`designer._evaluate`) calls
+it on whole arrays of focal lengths.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam_optics import BeamGeometry, ExcitationRegion
-from .lazy import Deferred, LazyField
 from .nv_rates import (NvRateSet, PumpModel, cw_fluorescence, polarization,
                        steady_states)
 
@@ -55,35 +54,22 @@ def detection_proportion(core_radius: float, magnification: float,
 
 
 @dataclass(frozen=True)
-class CollectionGeometry:
-    lens_radius: float
-    focal_length: float
-    numerical_aperture: float
-    detection_rate: float
-
-    @classmethod
-    def from_lens(cls, lens_radius: float, focal_length: float):
-        na = numerical_aperture(lens_radius, focal_length)
-        return cls(lens_radius, focal_length, na, detection_rate(na))
-
-
-@dataclass(frozen=True)
 class FigureOfMerit:
-    """Detected-signal figure of merit and its factors."""
+    """Detected-signal figure of merit, its factors, and the power density
+    the rate model was evaluated at."""
 
     detection_volume: float
+    power_density: float
     i_cw: float
     polarization: float
     detection_rate: float
     detection_proportion: float
     detected_signal: float
-    # of the steady-state system, computed when first read
-    condition_number: float | None = LazyField()
 
 
-def merit(volume, power_density, detection, rates: NvRateSet,
-          pump: PumpModel, proportion: float = 1.0,
-          density: float = 1.0) -> FigureOfMerit:
+def figure_of_merit(volume, power_density, detection, rates: NvRateSet,
+                    pump: PumpModel, proportion: float = 1.0,
+                    density: float = 1.0) -> FigureOfMerit:
     """Detected signal = volume * I_cw * P * detection rate * detection
     proportion * center density, with the rate model evaluated at the mean
     power density. Elementwise on arrays of volume, power density and
@@ -97,24 +83,11 @@ def merit(volume, power_density, detection, rates: NvRateSet,
     pol = polarization(ss)
     return FigureOfMerit(
         detection_volume=volume,
+        power_density=power_density,
         i_cw=i_cw,
         polarization=pol,
         detection_rate=detection,
         detection_proportion=proportion,
         detected_signal=volume * i_cw * pol * detection * proportion * density,
-        condition_number=Deferred(lambda: ss.condition_number),
     )
 
-
-def figure_of_merit(beam: BeamGeometry, region: ExcitationRegion,
-                    rates: NvRateSet, pump: PumpModel,
-                    coll: CollectionGeometry, proportion: float = 1.0,
-                    density: float = 1.0) -> FigureOfMerit:
-    """The detected-signal figure of merit (`merit`) of one beam, its
-    excitation region and its collection lens."""
-    if not math.isclose(beam.waist_radius, region.waist_radius,
-                        rel_tol=1e-9):
-        raise ValueError("beam and excitation region disagree on the waist "
-                         f"radius: {beam.waist_radius} vs {region.waist_radius}")
-    return merit(region.volume, region.mean_power_density,
-                 coll.detection_rate, rates, pump, proportion, density)

@@ -14,9 +14,9 @@ on its whole grid, a lens recommendation one call on the catalog, and
 calls the core once per `_LOOKAHEAD` steps, on every point those steps
 could ask for, and then walks its comparisons through the values; the
 core is elementwise, so the search is the same as one point per call.
-The steady-state condition numbers (one batched SVD) are computed only
-for the rows of a sweep: `sweep`, `evaluate_at_rayleigh`, and the `rows`
-of an `optimal_rayleigh` result, which are built when first read.
+The core computes no steady-state condition numbers: a caller that
+reports them asks `nv_rates.condition_numbers` at the power densities
+the figure of merit carries.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -76,8 +75,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point: the sweep.csv columns, plus the condition number
-    of its steady-state system (not written)."""
+    """One grid point: the sweep.csv columns."""
 
     variable: float
     volume_m3: float
@@ -86,7 +84,6 @@ class SweepRow:
     product: float
     detection_rate: float
     detected_signal: float
-    condition_number: float
 
     def astuple(self):
         return (self.variable, self.volume_m3, self.icw, self.polarization,
@@ -131,9 +128,10 @@ def _evaluate(focal, lens_radius,
         w0, ctx.sample_thickness, ctx.laser_power, ctx.wavelength,
         model=ctx.volume_model)
     na = collection.numerical_aperture(lens_radius, focal)
-    return collection.merit(region.volume, region.mean_power_density,
-                            collection.detection_rate(na), ctx.rates,
-                            ctx.pump, density=ctx.density)
+    return collection.figure_of_merit(region.volume, region.mean_power_density,
+                                      collection.detection_rate(na),
+                                      ctx.rates, ctx.pump,
+                                      density=ctx.density)
 
 
 def _at_rayleigh(zr, ctx: SweepContext) -> collection.FigureOfMerit:
@@ -142,20 +140,19 @@ def _at_rayleigh(zr, ctx: SweepContext) -> collection.FigureOfMerit:
         zr, ctx.incident_beam_diameter, ctx.wavelength), ctx.lens_radius, ctx)
 
 
-def _rows(variable, fom: collection.FigureOfMerit) -> list[SweepRow]:
+def sweep_rows(variable, fom: collection.FigureOfMerit) -> list[SweepRow]:
     """One row per entry of the arrays of fom, labelled with the matching
-    entry of variable. Reads the condition numbers."""
+    entry of variable."""
     product = fom.detection_volume * fom.i_cw * fom.polarization
     columns = (variable, fom.detection_volume, fom.i_cw, fom.polarization,
-               product, fom.detection_rate, fom.detected_signal,
-               fom.condition_number)
+               product, fom.detection_rate, fom.detected_signal)
     return [SweepRow(*values)
             for values in zip(*(np.asarray(c).tolist() for c in columns))]
 
 
 def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
     """Figure-of-merit factors for one Rayleigh length."""
-    (row,) = _rows([zr], _at_rayleigh(np.array([zr], dtype=float), ctx))
+    (row,) = sweep_rows([zr], _at_rayleigh(np.array([zr], dtype=float), ctx))
     return row
 
 
@@ -181,13 +178,13 @@ def _sweep_merit(spec: SweepSpec):
 def sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the figure of merit on the grid, one row per point, in one
     call of the array core."""
-    return _rows(*_sweep_merit(spec))
+    return sweep_rows(*_sweep_merit(spec))
 
 
 @dataclass(frozen=True)
 class OptimalResult:
-    """The optimum Rayleigh length, and the sweep it was found on: `rows`
-    (with their condition numbers) are built when first read."""
+    """The optimum Rayleigh length, and the grid and figure of merit of
+    the sweep it was found on (`sweep_rows` makes them rows)."""
 
     rayleigh_length: float
     detected_signal: float
@@ -195,10 +192,6 @@ class OptimalResult:
     grid: np.ndarray = field(repr=False, compare=False)
     merit: collection.FigureOfMerit = field(repr=False, compare=False)
     golden_evaluations: int = 0
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        return tuple(_rows(self.grid, self.merit))
 
 
 def _sign_changes(values: np.ndarray) -> int:
@@ -304,26 +297,6 @@ class LensChoice:
     rayleigh_length: float
 
 
-def _lens_choices(names, focal, lens_radius,
-                  ctx: SweepContext) -> list[LensChoice]:
-    """LensChoice for each lens (arrays of focal lengths and radii), from
-    one call of the array core."""
-    fom = _evaluate(focal, lens_radius, ctx)
-    w0 = beam_optics.waist_from_lens(focal, ctx.incident_beam_diameter,
-                                     ctx.wavelength)
-    zr = beam_optics.rayleigh_length(w0, ctx.wavelength)
-    return [LensChoice(*values) for values in zip(
-        names, focal.tolist(), fom.detected_signal.tolist(), w0.tolist(),
-        zr.tolist())]
-
-
-def evaluate_lens(focal_length: float, diameter: float,
-                  ctx: SweepContext) -> LensChoice:
-    (choice,) = _lens_choices([""], np.array([focal_length], dtype=float),
-                              np.array([diameter / 2.0]), ctx)
-    return choice
-
-
 def recommend_lens(catalog: LensCatalog, spec: SweepSpec) -> LensChoice:
     """Evaluate the detected signal for every catalog lens, in one call of
     the array core, and return the best one. Ties break toward the shorter
@@ -338,8 +311,15 @@ def recommend_lens(catalog: LensCatalog, spec: SweepSpec) -> LensChoice:
             continue
         lenses[f] = (name, d)
     names, diameters = zip(*lenses.values())
-    choices = _lens_choices(names, np.array(list(lenses), dtype=float),
-                            np.array(diameters) / 2.0, spec.context)
+    ctx = spec.context
+    focal = np.array(list(lenses), dtype=float)
+    fom = _evaluate(focal, np.array(diameters) / 2.0, ctx)
+    w0 = beam_optics.waist_from_lens(focal, ctx.incident_beam_diameter,
+                                     ctx.wavelength)
+    zr = beam_optics.rayleigh_length(w0, ctx.wavelength)
+    choices = [LensChoice(*values) for values in zip(
+        names, focal.tolist(), fom.detected_signal.tolist(), w0.tolist(),
+        zr.tolist())]
     return max(choices, key=lambda choice: choice.detected_signal)
 
 

@@ -1,6 +1,10 @@
 """Per-pixel fitting into spatial maps, map statistics, and a seeded
 synthetic multi-pixel dataset generator used as the test oracle.
 
+A map's pixels are one `Dataset`: their coordinates and their traces as
+`Traces` stacks, as `cmd_map` reads them from pixel files and as
+`synth_map` generates them. `assemble` fits each stack as one batch.
+
 Pixels that fail (unidentifiable data, a fit that did not converge, or a
 derived value that cannot be computed) are recorded as missing (NaN) and
 excluded from statistics, never imputed; the map counts each reason.
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import pulse_fit
 from .io import atomic_write
-from .traces import TimeSeries, stack_series
+from .traces import Traces
 
 QUANTITIES = ("pi_time", "t1", "t2", "custom")
 # why a fitted pixel is missing, in the order stats.json reports them
@@ -92,32 +96,24 @@ class Dataset:
 
     x: np.ndarray
     y: np.ndarray
-    traces: list
-
-    @classmethod
-    def from_records(cls, records) -> "Dataset":
-        """From (x, y, TimeSeries) records."""
-        records = list(records)
-        return cls(np.array([r[0] for r in records], dtype=float),
-                   np.array([r[1] for r in records], dtype=float),
-                   stack_series([r[2] for r in records]))
+    traces: list[Traces]
 
 
-def assemble(records, model: str, derive=None, pitch: float | None = None,
-             quantity: str | None = None, units: str | None = None) -> PixelMap:
-    """Fit every pixel and place the derived scalar on a regular grid.
+def assemble(data: Dataset, model: str, derive=None,
+             pitch: float | None = None, quantity: str | None = None,
+             units: str | None = None) -> PixelMap:
+    """Fit every pixel of `data` and place the derived scalar on a regular
+    grid.
 
-    `records` is a Dataset, or (x, y, TimeSeries) records. Coordinates
-    must snap to a common grid (tolerance pitch/100); the pitch is
-    inferred from coordinate spacing when not given. Each stack of traces
-    that share a tau grid is fitted as one batch (`pulse_fit.fit_many`).
-    Failed pixels stay missing, and are counted per reason in FAILURES.
+    Coordinates must snap to a common grid (tolerance pitch/100); the
+    pitch is inferred from coordinate spacing when not given. Each stack
+    of traces that share a tau grid is fitted as one batch
+    (`pulse_fit.fit_many`). Failed pixels stay missing, and are counted
+    per reason in FAILURES.
     """
-    data = records if isinstance(records, Dataset) else \
-        Dataset.from_records(records)
     xs, ys = data.x, data.y
     if not xs.size:
-        raise ValueError("no records to assemble")
+        raise ValueError("no pixels to assemble")
     if derive is None:
         quantity, units, derive = _DEFAULT_DERIVE[model]
     else:
@@ -147,9 +143,9 @@ def assemble(records, model: str, derive=None, pitch: float | None = None,
 
 
 def _cells(xs, ys, x0, y0, pitch, nx):
-    """Flat grid cell iy * nx + ix of each record. The first record that
-    is off the grid (tolerance pitch/100) or lands on a cell an earlier
-    record took is an error."""
+    """Flat grid cell iy * nx + ix of each pixel. The first pixel that is
+    off the grid (tolerance pitch/100) or lands on a cell an earlier pixel
+    took is an error."""
     fx, fy = (xs - x0) / pitch, (ys - y0) / pitch
     ix, iy = np.round(fx), np.round(fy)
     off_x, off_y = np.abs(fx - ix) > 0.01, np.abs(fy - iy) > 0.01
@@ -198,9 +194,10 @@ def stats(pixel_map: PixelMap) -> MapStats:
 def synth_map(truth_params: np.ndarray, model: str, tau: np.ndarray,
               noise_sigma: float, seed: int,
               origin: tuple[float, float] = (0.0, 0.0),
-              pitch: float = 50e-6) -> list[tuple[float, float, TimeSeries]]:
-    """Generate one noisy TimeSeries per pixel from per-pixel true
-    parameters of shape (ny, nx, arity).
+              pitch: float = 50e-6) -> Dataset:
+    """Generate a noisy trace per pixel from per-pixel true parameters of
+    shape (ny, nx, arity), as a Dataset of one stack whose row
+    iy * nx + ix is pixel (ix, iy).
 
     The noise stream of each pixel is keyed by (seed, iy, ix), so the
     output is deterministic and independent of generation order.
@@ -215,18 +212,16 @@ def synth_map(truth_params: np.ndarray, model: str, tau: np.ndarray,
     if noise_sigma < 0:
         raise ValueError("noise_sigma must be non-negative")
     tau = np.asarray(tau, dtype=float)
-    records = []
-    for iy in range(ny):
-        for ix in range(nx):
-            clean = pulse_fit.model_eval(model, tau, truth_params[iy, ix])
-            if noise_sigma > 0:
-                rng = np.random.default_rng([seed, iy, ix])
-                signal = clean + rng.normal(0.0, noise_sigma, size=tau.shape)
-            else:
-                signal = clean
-            records.append((origin[0] + ix * pitch, origin[1] + iy * pitch,
-                            TimeSeries(tau, signal)))
-    return records
+    iy, ix = np.divmod(np.arange(ny * nx), nx)
+    signal = pulse_fit.model_eval(model, tau,
+                                  truth_params.reshape(ny * nx, arity))
+    if noise_sigma > 0:
+        signal = signal + [
+            np.random.default_rng([seed, j, i]).normal(0.0, noise_sigma,
+                                                       size=tau.shape)
+            for j, i in zip(iy.tolist(), ix.tolist())]
+    return Dataset(origin[0] + ix * pitch, origin[1] + iy * pitch,
+                   [Traces(tau, signal)])
 
 
 def write_map_csv(pixel_map: PixelMap, path) -> None:

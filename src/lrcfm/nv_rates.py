@@ -16,10 +16,11 @@ normalization sum(rho) = 1:
 
 `steady_states` solves a whole array of power densities as one stack of
 5x5 systems and returns a SteadyState of arrays; `steady_state` is the
-same solve at one power density. `cw_fluorescence` and `polarization`
-work elementwise on either. The condition numbers of a batch (one
-batched SVD, several times the cost of the solve) are computed only if
-the result's `condition_number` is read.
+same solve at one power density, with the condition number of its
+system. `cw_fluorescence` and `polarization` work elementwise on either.
+`condition_numbers` gives the condition numbers of a whole stack (one
+batched SVD, several times the cost of the solve), for a caller that
+reports them.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-
-from .lazy import Deferred, LazyField
 
 _RATE_KEYS = ("k31", "k32", "k35", "k41", "k42", "k45", "k51", "k52")
 
@@ -90,14 +89,14 @@ class PumpModel:
 class SteadyState:
     """Steady-state populations rho_ii; sums to 1. From `steady_states`
     each field is an array with one entry per power density, and the
-    condition numbers are computed when `condition_number` is first read."""
+    condition number is None; `steady_state` gives its system's."""
 
     rho11: float
     rho22: float
     rho33: float
     rho44: float
     rho55: float
-    condition_number: float | None = LazyField()
+    condition_number: float | None = None
 
     def populations(self) -> np.ndarray:
         return np.array([self.rho11, self.rho22, self.rho33,
@@ -122,18 +121,10 @@ def rate_matrix(rates: NvRateSet, gamma) -> np.ndarray:
     return a
 
 
-def steady_states(rates: NvRateSet, pump: PumpModel,
-                  power_density) -> SteadyState:
-    """Unique steady states of the pumped five-level system for an array
-    of power densities, returned as one SteadyState whose fields are
-    arrays of the same shape (scalars for a scalar power density).
-
-    Each system is solved by replacing the first (redundant) row of the
-    rate matrix with the normalization constraint; the whole stack of
-    dense 5x5 systems goes through one batched solve. The result keeps the
-    stack, and one batched SVD gives the condition numbers when
-    `condition_number` is first read.
-    """
+def _systems(rates: NvRateSet, pump: PumpModel, power_density):
+    """(stack of normalized 5x5 systems, pump rates) for an array of power
+    densities: each rate matrix with its first (redundant) row replaced by
+    the normalization constraint."""
     power_density = np.asarray(power_density, dtype=float)
     if (power_density <= 0).any():
         raise ValueError(
@@ -143,6 +134,19 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
     gamma = pump.pump_rate(power_density)
     a = rate_matrix(rates, gamma)
     a[..., 0, :] = 1.0  # normalization row replaces one redundant balance row
+    return a, gamma
+
+
+def steady_states(rates: NvRateSet, pump: PumpModel,
+                  power_density) -> SteadyState:
+    """Unique steady states of the pumped five-level system for an array
+    of power densities, returned as one SteadyState whose fields are
+    arrays of the same shape (scalars for a scalar power density).
+
+    The whole stack of normalized 5x5 systems goes through one batched
+    solve.
+    """
+    a, gamma = _systems(rates, pump, power_density)
     b = np.zeros(a.shape[:-1] + (1,))
     b[..., 0, 0] = 1.0
     try:
@@ -160,16 +164,23 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
                     f"(cond={np.linalg.cond(a[i]):.3e}, "
                     f"gamma={gamma[i]:.3e} Hz)") from exc
         raise
-    return SteadyState(*(rho[..., k, 0] for k in range(5)),
-                       condition_number=Deferred(lambda: np.linalg.cond(a)))
+    return SteadyState(*(rho[..., k, 0] for k in range(5)))
+
+
+def condition_numbers(rates: NvRateSet, pump: PumpModel, power_density):
+    """Condition numbers of the systems `steady_states` solves, one per
+    power density, from one batched SVD."""
+    return np.linalg.cond(_systems(rates, pump, power_density)[0])
 
 
 def steady_state(rates: NvRateSet, pump: PumpModel,
                  power_density: float) -> SteadyState:
     """Unique steady state of the pumped five-level system at one power
-    density: `steady_states` at a scalar power density."""
-    ss = steady_states(rates, pump, power_density)
-    return replace(ss, condition_number=float(ss.condition_number))
+    density, `steady_states` at a scalar power density, with the
+    condition number of its system."""
+    return replace(steady_states(rates, pump, power_density),
+                   condition_number=float(condition_numbers(
+                       rates, pump, power_density)))
 
 
 def cw_fluorescence(ss: SteadyState, rates: NvRateSet) -> float:

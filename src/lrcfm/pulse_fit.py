@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .io import atomic_write
-from .traces import TimeSeries, Traces, stack_series
+from .traces import TimeSeries, Traces
 
 MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
 
@@ -167,26 +167,22 @@ def fit(model: str, data: TimeSeries, init=None,
     raised. Of `init` only the nonlinear entries are used (a2, and a3 for
     rabi and t2). A batch of one trace: the result is that of `fit_many`.
     """
-    traces, theta = _starts(model, stack_series([data])[0], init)
+    traces, theta = _starts(model, data.as_traces(), init)
     if not len(traces):
         raise UnidentifiableDataError(
             f"constant signal cannot constrain a {model} model")
     return _fit_stack(model, traces, theta, step_tol)[0]
 
 
-def fit_many(model: str, series) -> list[FitResult | None]:
+def fit_many(model: str, stacks: list[Traces]) -> list[FitResult | None]:
     """Fit every trace from its automatic start, as `fit` would one at a
     time; None marks a constant (unidentifiable) trace.
 
-    `series` is a list of TimeSeries, or of Traces stacks whose `rows`
-    together number the traces 0..m-1 (as `read_traces` returns them);
-    the results are in that order. The traces of a stack are fitted
-    together, one row of a batch per trace; each result is bitwise equal
-    to the lone `fit` of its trace.
+    `stacks` are Traces whose `rows` together number the traces 0..m-1
+    (as `read_traces` returns them); the results are in that order. The
+    traces of a stack are fitted together, one row of a batch per trace;
+    each result is bitwise equal to the lone `fit` of its trace.
     """
-    stacks = [s for s in series if isinstance(s, Traces)]
-    if len(stacks) != len(series):
-        stacks = stack_series(series)
     results = [None] * sum(len(traces) for traces in stacks)
     for traces in stacks:
         traces, theta = _starts(model, traces)

@@ -7,8 +7,8 @@ stacks, and the single-trace functions are batches of one.
 
 A pixel file is comma-separated text: the header `tau_s,signal` or
 `tau_s,signal,sigma` (spaces around the names allowed), then one row per
-delay, as wide as the header. Blank and whitespace-only lines are
-skipped; lines may end in LF, CRLF or CR. Each value is parsed as
+delay (at least one), as wide as the header. Blank and whitespace-only
+lines are skipped; lines may end in LF, CRLF or CR. Each value is parsed as
 Python's float() parses it (surrounding spaces, `1_000`, `+.5`, `1E5`
 and non-ASCII digits included), so a file reads the same alone or among
 others. tau must strictly increase, tau and the readings must be finite,
@@ -74,7 +74,12 @@ class TimeSeries:
 
     def to_csv(self, path) -> None:
         """Write one pixel file: `write_traces` of one trace."""
-        write_traces([path], stack_series([self])[0])
+        write_traces([path], self.as_traces())
+
+    def as_traces(self) -> "Traces":
+        """This trace as a stack of one."""
+        return Traces(self.tau, self.signal[None],
+                      None if self.sigma is None else self.sigma[None])
 
 
 @dataclass(frozen=True)
@@ -117,24 +122,6 @@ class Traces:
         return Traces(self.tau, self.signal[keep],
                       None if self.sigma is None else self.sigma[keep],
                       self.rows[keep])
-
-
-def stack_series(series) -> list[Traces]:
-    """TimeSeries as Traces stacks, one per tau grid and presence of
-    errors, in order of first appearance; `rows` index `series`."""
-    groups = {}
-    for row, data in enumerate(series):
-        key = (data.tau.tobytes(), data.sigma is None)
-        groups.setdefault(key, []).append((row, data))
-    stacks = []
-    for members in groups.values():
-        rows, group = zip(*members)
-        sigma = None if group[0].sigma is None else \
-            np.stack([data.sigma for data in group])
-        stacks.append(Traces(group[0].tau,
-                             np.stack([data.signal for data in group]),
-                             sigma, rows))
-    return stacks
 
 
 _WIDTH = {("tau_s", "signal"): 2, ("tau_s", "signal", "sigma"): 3}
@@ -181,6 +168,8 @@ def _split_pixel_file(path) -> tuple[int, list[str]]:
     if width is None:
         raise ValueError("expected header 'tau_s,signal[,sigma]', "
                          f"got {lines[0]!r}")
+    if len(lines) == 1:
+        raise ValueError("no data rows")
     if set(map(str.count, lines[1:], repeat(","))) != {width - 1}:
         raise ValueError("ragged rows")
     return width, ",".join(lines[1:]).split(",")

@@ -225,8 +225,28 @@ def field(model, seed):
                            _log_uniform(rng, 10e-6, 40e-6, shape),
                            rng.uniform(1.0, 2.5, shape)], axis=-1)
         tau, noise = np.linspace(0.0, 160e-6, N_TAU + 1)[1:], 0.01
-    records = mapping.synth_map(params, model, tau, noise, seed)
-    return [series for _, _, series in records], params.reshape(-1, params.shape[-1])
+    (stack,) = mapping.synth_map(params, model, tau, noise, seed).traces
+    return ([stack.series(i) for i in range(len(stack))],
+            params.reshape(-1, params.shape[-1]))
+
+
+def as_stacks(series):
+    """TimeSeries as the Traces stacks fit_many takes: one per tau grid and
+    presence of errors, in order of first appearance; `rows` index
+    `series`."""
+    groups = {}
+    for row, data in enumerate(series):
+        key = (data.tau.tobytes(), data.sigma is None)
+        groups.setdefault(key, []).append((row, data))
+    out = []
+    for members in groups.values():
+        rows, group = zip(*members)
+        sigma = None if group[0].sigma is None else \
+            np.stack([data.sigma for data in group])
+        out.append(Traces(group[0].tau,
+                          np.stack([data.signal for data in group]), sigma,
+                          rows))
+    return out
 
 
 def same_result(a, b):
@@ -254,7 +274,7 @@ ORACLE_WARNING = "ignore:invalid value encountered in matmul:RuntimeWarning"
 def test_batched_matches_scalar_oracle(model):
     for seed in (1, 2):
         series, truth = field(model, seed)
-        batched = pulse_fit.fit_many(model, series)
+        batched = pulse_fit.fit_many(model, as_stacks(series))
         compared = 0
         for data, true, new in zip(series, truth, batched):
             old = scalar_fit(model, data)
@@ -289,8 +309,8 @@ def test_fold_recovers_at_least_the_oracle_pi_times():
     hits_old = hits_new = 0
     for seed in (1, 2):
         series, truth = field("rabi", seed)
-        for data, true, new in zip(series, truth,
-                                   pulse_fit.fit_many("rabi", series)):
+        fits = pulse_fit.fit_many("rabi", as_stacks(series))
+        for data, true, new in zip(series, truth, fits):
             old = scalar_fit("rabi", data)
             target = 1 / (2 * true[2])
             hits_old += abs(pulse_fit.pi_time(old) / target - 1) < 0.02
@@ -303,8 +323,8 @@ def test_fold_recovers_at_least_the_oracle_pi_times():
 def test_fit_equals_its_row_of_a_batch(model):
     series, _ = field(model, seed=3)
     series = series[:24]
-    forward = pulse_fit.fit_many(model, series)
-    backward = pulse_fit.fit_many(model, series[::-1])[::-1]
+    forward = pulse_fit.fit_many(model, as_stacks(series))
+    backward = pulse_fit.fit_many(model, as_stacks(series[::-1]))[::-1]
     for data, a, b in zip(series, forward, backward):
         alone = pulse_fit.fit(model, data)
         assert same_result(alone, a)
@@ -313,12 +333,13 @@ def test_fit_equals_its_row_of_a_batch(model):
 
 def test_assemble_pixels_equal_lone_fits():
     series, _ = field("rabi", seed=4)
-    records = [(ix * 50e-6, iy * 50e-6, series[iy * NX + ix])
-               for iy in range(4) for ix in range(NX)]
-    values = mapping.assemble(records, "rabi").values
-    for x, y, data in records:
-        lone = pulse_fit.pi_time(pulse_fit.fit("rabi", data))
-        assert values[round(y / 50e-6), round(x / 50e-6)] == lone
+    series = series[:4 * NX]
+    iy, ix = np.divmod(np.arange(len(series)), NX)
+    data = mapping.Dataset(ix * 50e-6, iy * 50e-6, as_stacks(series))
+    values = mapping.assemble(data, "rabi").values
+    for k, trace in enumerate(series):
+        lone = pulse_fit.pi_time(pulse_fit.fit("rabi", trace))
+        assert values[iy[k], ix[k]] == lone
 
 
 def test_fit_many_groups_grids_sigma_and_constant_traces():
@@ -328,7 +349,7 @@ def test_fit_many_groups_grids_sigma_and_constant_traces():
                           sigma=np.linspace(0.01, 0.03, len(series[1])))
     flat = TimeSeries(series[2].tau, np.full(len(series[2]), 0.3))
     batch = [series[3], coarse, weighted, flat, series[4]]
-    results = pulse_fit.fit_many("t1", batch)
+    results = pulse_fit.fit_many("t1", as_stacks(batch))
     assert results[3] is None
     with pytest.raises(UnidentifiableDataError):
         pulse_fit.fit("t1", flat)
@@ -336,8 +357,9 @@ def test_fit_many_groups_grids_sigma_and_constant_traces():
         if result is not None:
             assert same_result(pulse_fit.fit("t1", data), result)
     with pytest.raises(ValueError, match="points"):
-        pulse_fit.fit_many("t1", [series[0], TimeSeries(np.arange(3.0),
-                                                        np.arange(3.0))])
+        pulse_fit.fit_many("t1", as_stacks([series[0],
+                                            TimeSeries(np.arange(3.0),
+                                                       np.arange(3.0))]))
 
 
 def test_rabi_field_needs_few_rounds(monkeypatch):
@@ -355,7 +377,7 @@ def test_rabi_field_needs_few_rounds(monkeypatch):
         return solve(matrices, rhs)
 
     monkeypatch.setattr(pulse_fit, "_solve_rows", counting)
-    results = pulse_fit.fit_many("rabi", series)
+    results = pulse_fit.fit_many("rabi", as_stacks(series))
     assert len(series) == 147 and all(r.converged for r in results)
     assert sum(rounds) >= len(series)  # every row took a step
     assert len(rounds) <= 40
@@ -596,7 +618,7 @@ def mixed_field(model, seed):
 def test_stacked_path_equals_former_per_trace_path(model):
     for series in (field(model, 7)[0], mixed_field(model, 8)):
         want = former_fit_many(model, series)
-        got = pulse_fit.fit_many(model, series)
+        got = pulse_fit.fit_many(model, as_stacks(series))
         assert [r is None for r in got] == [r is None for r in want]
         for new, old in zip(got, want):
             assert new is None or same_result(new, old)
@@ -782,7 +804,8 @@ GOOD = "tau_s,signal\n0,1\n1,0.5\n2,0.25\n"
 @pytest.mark.parametrize("text,message", [
     ("", "empty file"),
     ("\n \n", "empty file"),
-    ("tau_s,signal\n", "ragged rows"),
+    ("tau_s,signal\n", "no data rows"),
+    ("tau_s,signal,sigma\n\n \n", "no data rows"),
     ("tau_s,signal\n0,1\n1,2,3\n", "ragged rows"),
     ("tau_s,signal,sigma\n0,1\n1,2\n", "ragged rows"),
     ("tau_s,signal\n0\n1,2,3\n", "ragged rows"),  # widths that sum right

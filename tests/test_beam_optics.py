@@ -113,7 +113,10 @@ def test_power_density_volume_identity():
 
 
 def test_beam_geometry_consistency_check():
-    beam = bo.BeamGeometry.from_focal_length(LAMBDA, 0.9e-3, 30e-3)
-    assert beam.waist_radius == pytest.approx(1.12893906299851e-5, rel=1e-12)
-    with pytest.raises(ValueError):
-        bo.BeamGeometry(LAMBDA, 2e-5, 0.9e-3, 30e-3)
+    # the lens relation w0 = 2 lambda F / (pi D) and its inverse through
+    # the Rayleigh length agree
+    w0 = bo.waist_from_lens(30e-3, 0.9e-3, LAMBDA)
+    assert w0 == pytest.approx(1.12893906299851e-5, rel=1e-12)
+    zr = bo.rayleigh_length(w0, LAMBDA)
+    assert bo.focal_length_for_rayleigh(zr, 0.9e-3, LAMBDA) == \
+        pytest.approx(30e-3, rel=1e-12)

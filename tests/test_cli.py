@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import lrcfm
-from lrcfm import designer, pulse_fit
+from lrcfm import beam_optics, designer, nv_rates, pulse_fit
 from lrcfm.cli import main
 from lrcfm.config import load_config
 
@@ -113,9 +113,15 @@ def test_design_report_diagnostics(config_dir, tmp_path, monkeypatch):
     assert run("--out", tmp_path, "design", "--config", config) == 0
     report = json.loads((tmp_path / "design_report.json").read_text())
     cfg = load_config(config)
-    rows = designer.sweep(designer.SweepSpec(
-        "rayleigh_length", cfg.sweep_grid(), cfg.sweep_context()))
-    conditions = [row.condition_number for row in rows]
+    ctx = cfg.sweep_context()
+    w0 = beam_optics.waist_from_lens(
+        beam_optics.focal_length_for_rayleigh(
+            np.array(cfg.sweep_grid()), ctx.incident_beam_diameter,
+            ctx.wavelength), ctx.incident_beam_diameter, ctx.wavelength)
+    region = beam_optics.excitation_region(w0, ctx.sample_thickness,
+                                           ctx.laser_power, ctx.wavelength)
+    conditions = nv_rates.condition_numbers(
+        ctx.rates, ctx.pump, region.mean_power_density).tolist()
     assert report["steady_state_condition_min"] == min(conditions)
     assert report["steady_state_condition_max"] == max(conditions)
     assert 1.0 < min(conditions) < max(conditions)
@@ -430,8 +436,16 @@ def test_malformed_manifest_is_input_error(tmp_path, capsys, edit):
     lambda t: {**t, "params": [1.0, {"a": 2}, 1.5]},
     lambda t: {**t, "origin_um": [0.0]},
     lambda t: [t],
+    lambda t: {**t, "nx": 0},
+    lambda t: {**t, "nx": 2.7},
+    lambda t: {**t, "ny": -1},
+    lambda t: {**t, "tau": {**t["tau"], "points": 0}},
+    lambda t: {**t, "tau": {**t["tau"], "points": 20.5}},
+    lambda t: {**{k: v for k, v in t.items() if k != "tau"}, "tau_s": []},
 ], ids=["no-nx", "no-ny", "no-params", "no-tau", "no-stop", "list-nx",
-        "object-param", "short-origin", "not-object"])
+        "object-param", "short-origin", "not-object", "zero-nx",
+        "fractional-nx", "negative-ny", "zero-points", "fractional-points",
+        "empty-tau"])
 def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
              "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}}

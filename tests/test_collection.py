@@ -53,13 +53,14 @@ def test_detection_proportion():
 
 def _reference_fom(zr, reference_context, proportion=1.0, density=1.0):
     ctx = reference_context
-    beam = bo.BeamGeometry.from_rayleigh_length(
-        ctx.wavelength, ctx.incident_beam_diameter, zr)
-    region = bo.excitation_region(beam.waist_radius, ctx.sample_thickness,
-                                  ctx.laser_power, ctx.wavelength)
-    coll = col.CollectionGeometry.from_lens(ctx.lens_radius,
-                                            beam.focal_length)
-    return col.figure_of_merit(beam, region, ctx.rates, ctx.pump, coll,
+    focal = bo.focal_length_for_rayleigh(zr, ctx.incident_beam_diameter,
+                                         ctx.wavelength)
+    w0 = bo.waist_from_lens(focal, ctx.incident_beam_diameter, ctx.wavelength)
+    region = bo.excitation_region(w0, ctx.sample_thickness, ctx.laser_power,
+                                  ctx.wavelength)
+    rate = col.detection_rate(col.numerical_aperture(ctx.lens_radius, focal))
+    return col.figure_of_merit(region.volume, region.mean_power_density,
+                               rate, ctx.rates, ctx.pump,
                                proportion=proportion, density=density)
 
 
@@ -104,13 +105,8 @@ def test_figure_of_merit_unimodal_on_grid(reference_context):
     assert changes <= 1
 
 
-def test_figure_of_merit_checks_geometry(reference_context):
-    ctx = reference_context
-    beam = bo.BeamGeometry.from_rayleigh_length(
-        ctx.wavelength, ctx.incident_beam_diameter, 0.25e-3)
-    other = bo.excitation_region(9e-6, ctx.sample_thickness,
-                                 ctx.laser_power, ctx.wavelength)
-    coll = col.CollectionGeometry.from_lens(ctx.lens_radius,
-                                            beam.focal_length)
-    with pytest.raises(ValueError, match="waist"):
-        col.figure_of_merit(beam, other, ctx.rates, ctx.pump, coll)
+def test_figure_of_merit_checks_its_arguments(reference_context):
+    for kwargs in ({"proportion": 0.0}, {"proportion": 1.5},
+                   {"density": 0.0}, {"density": -1.0}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            _reference_fom(0.25e-3, reference_context, **kwargs)

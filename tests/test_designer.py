@@ -117,9 +117,10 @@ def test_recommend_lens_default_catalog(reference_spec):
         reference_spec.context.wavelength)
     nearest = min(catalog.entries, key=lambda e: abs(e[1] - f_star))
     assert choice.name == nearest[0]
-    # and it must really be the exhaustive argmax
-    scores = {name: designer.evaluate_lens(f, d, reference_spec.context)
-              for name, f, d in catalog.entries}
+    # and it must really be the exhaustive argmax, each lens alone
+    scores = {entry[0]: designer.recommend_lens(designer.LensCatalog((entry,)),
+                                                reference_spec)
+              for entry in catalog.entries}
     best = max(scores, key=lambda n: scores[n].detected_signal)
     assert choice.name == best
 

@@ -144,8 +144,8 @@ def test_optimal_rayleigh_core_calls(reference_context, monkeypatch):
     assert result.golden_evaluations == 17 <= sum(sizes[1:])
 
 
-def test_condition_numbers_only_when_read(reference_context, monkeypatch,
-                                          tmp_path):
+def test_condition_numbers_only_where_reported(reference_context,
+                                               monkeypatch, tmp_path):
     cond = np.linalg.cond
     calls = []
 
@@ -156,10 +156,10 @@ def test_condition_numbers_only_when_read(reference_context, monkeypatch,
     monkeypatch.setattr(np.linalg, "cond", counting)
     rates, pump = reference_context.rates, reference_context.pump
     density = np.geomspace(1e4, 1e12, 50)
-    ss = nv_rates.steady_states(rates, pump, density)
+    nv_rates.steady_states(rates, pump, density)
     assert calls == []
-    conditions = ss.condition_number
-    assert calls == [(50, 5, 5)] and ss.condition_number is conditions
+    conditions = nv_rates.condition_numbers(rates, pump, density)
+    assert calls == [(50, 5, 5)]
     for k in (0, 17, 49):
         one = nv_rates.steady_state(rates, pump, density[k])
         assert one.condition_number == pytest.approx(conditions[k],
@@ -167,8 +167,9 @@ def test_condition_numbers_only_when_read(reference_context, monkeypatch,
     calls.clear()
     config = lrcfm.data_path("example_config.txt")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--out", str(tmp_path), "sweep", "--config", str(config),
-                     "--variable", "detection-proportion"]) == 0
+        for variable in ("detection-proportion", "rayleigh", "waist"):
+            assert main(["--out", str(tmp_path), "sweep", "--config",
+                         str(config), "--variable", variable]) == 0
         assert calls == []
         assert main(["--out", str(tmp_path), "design",
                      "--config", str(config)]) == 0

@@ -165,9 +165,13 @@ def malformed_truth(draw):
     """Truth-file text with one malformation."""
     truth = json.loads(json.dumps(TRUTH))
     kind = draw(st.sampled_from(["drop", "type", "tau", "shape", "text",
-                                 "not-object"]))
+                                 "not-object", "count"]))
     if kind == "drop":
         del truth[draw(st.sampled_from(["nx", "ny", "params", "tau"]))]
+    elif kind == "count":  # not a whole number of at least 1
+        value = draw(st.sampled_from([0, -1, -2.0, 0.5, 1.5, 2.7]))
+        key = draw(st.sampled_from(["nx", "ny", "points"]))
+        (truth["tau"] if key == "points" else truth)[key] = value
     elif kind == "type":
         key = draw(st.sampled_from(["nx", "ny", "params", "tau", "pitch_um",
                                     "model"]))
@@ -261,7 +265,7 @@ def malformed_manifest(draw):
 def malformed_csv(draw):
     """Pixel-file edits, applied to the valid file's lines."""
     kind = draw(st.sampled_from(["header", "ragged", "value", "order",
-                                 "short", "empty"]))
+                                 "short", "header-only", "empty"]))
     return kind, draw(st.integers(1, 19)), draw(words | non_finite)
 
 
@@ -278,6 +282,8 @@ def csv_text(valid: str, edit) -> str:
         lines[row], lines[row + 1] = lines[row + 1], lines[row]
     elif kind == "short":
         lines = lines[:3]
+    elif kind == "header-only":
+        lines = lines[:1]
     else:
         lines = []
     return "\n".join(lines) + "\n"

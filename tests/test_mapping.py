@@ -5,6 +5,7 @@ import pytest
 
 from lrcfm import mapping, pulse_fit
 from lrcfm.pulse_fit import TimeSeries
+from lrcfm.traces import Traces
 
 PITCH = 50e-6
 
@@ -25,31 +26,51 @@ def t2_tau():
     return np.linspace(0, 80e-6, 121)[1:]
 
 
+def edited(data, x=None, y=None, signal=None):
+    """The one-stack Dataset data with its coordinates or readings
+    replaced."""
+    (stack,) = data.traces
+    if signal is None:
+        signal = stack.signal
+    return mapping.Dataset(data.x if x is None else x,
+                           data.y if y is None else y,
+                           [Traces(stack.tau, signal)])
+
+
 def test_synth_map_deterministic():
     params = t2_truth_field(3, 2)
     a = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=42)
     b = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=42)
-    for (xa, ya, sa), (xb, yb, sb) in zip(a, b):
-        assert (xa, ya) == (xb, yb)
-        assert np.array_equal(sa.signal, sb.signal)
+    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert np.array_equal(a.traces[0].signal, b.traces[0].signal)
     c = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=43)
-    assert not np.array_equal(a[0][2].signal, c[0][2].signal)
+    assert not np.array_equal(a.traces[0].signal[0], c.traces[0].signal[0])
+    # row iy * nx + ix is pixel (ix, iy), its noise drawn from its own
+    # stream, keyed by (seed, iy, ix)
+    clean = pulse_fit.model_eval("t2", t2_tau(), params[2, 1])
+    noise = np.random.default_rng([42, 2, 1]).normal(0.0, 0.01, clean.shape)
+    assert np.array_equal(a.traces[0].signal[5], clean + noise)
+    assert (a.x[5], a.y[5]) == (1 * PITCH, 2 * PITCH)
 
 
 def test_synth_map_noiseless_on_curve():
     params = t2_truth_field(2, 2)
-    for x, y, series in mapping.synth_map(params, "t2", t2_tau(), 0.0, 1):
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.0, 1)
+    (stack,) = data.traces
+    assert len(data.x) == len(data.y) == len(stack) == 4
+    for k, (x, y) in enumerate(zip(data.x, data.y)):
         iy = int(round(y / PITCH))
         ix = int(round(x / PITCH))
-        clean = pulse_fit.model_eval("t2", series.tau, params[iy, ix])
-        assert np.array_equal(series.signal, clean)
+        assert k == iy * 2 + ix
+        clean = pulse_fit.model_eval("t2", stack.tau, params[iy, ix])
+        assert np.array_equal(stack.signal[k], clean)
 
 
 def test_single_pixel_rabi_map():
     truth = np.array([1.0, 20e-6, 5e6, 0.0, 0.5])
     tau = np.linspace(0, 60e-6, 3200)
-    records = mapping.synth_map(truth[None, None, :], "rabi", tau, 0.0, 0)
-    pixel_map = mapping.assemble(records, "rabi", pitch=PITCH)
+    data = mapping.synth_map(truth[None, None, :], "rabi", tau, 0.0, 0)
+    pixel_map = mapping.assemble(data, "rabi", pitch=PITCH)
     assert (pixel_map.nx, pixel_map.ny) == (1, 1)
     assert pixel_map.quantity == "pi_time"
     assert pixel_map.values[0, 0] == pytest.approx(1 / (2 * 5e6), rel=1e-6)
@@ -57,8 +78,8 @@ def test_single_pixel_rabi_map():
 
 def test_map_round_trip_t2():
     params = t2_truth_field()
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=1)
-    pixel_map = mapping.assemble(records, "t2")
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=1)
+    pixel_map = mapping.assemble(data, "t2")
     assert (pixel_map.nx, pixel_map.ny) == (7, 21)
     assert pixel_map.pitch == pytest.approx(PITCH)
     truth = params[:, :, 1]
@@ -69,31 +90,35 @@ def test_map_round_trip_t2():
 
 def test_assemble_order_independent():
     params = t2_truth_field(4, 3)
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=2)
-    forward = mapping.assemble(records, "t2")
-    backward = mapping.assemble(list(reversed(records)), "t2")
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.01, seed=2)
+    forward = mapping.assemble(data, "t2")
+    backward = mapping.assemble(edited(data, data.x[::-1], data.y[::-1],
+                                       data.traces[0].signal[::-1]), "t2")
     assert np.array_equal(forward.values, backward.values,
                           equal_nan=True)
 
 
 def test_assemble_rejects_duplicates_and_offgrid():
     params = t2_truth_field(2, 2)
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
+    signal = data.traces[0].signal
+    twice = edited(data, np.append(data.x, data.x[0]),
+                   np.append(data.y, data.y[0]),
+                   np.vstack([signal, signal[0]]))
     with pytest.raises(ValueError, match="duplicate"):
-        mapping.assemble(records + [records[0]], "t2", pitch=PITCH)
-    x, y, series = records[0]
-    shifted = [(x + 0.3 * PITCH, y, series)] + records[1:]
+        mapping.assemble(twice, "t2", pitch=PITCH)
+    shifted = edited(data, data.x + np.array([0.3 * PITCH, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="off the pixel grid"):
         mapping.assemble(shifted, "t2", pitch=PITCH)
 
 
 def test_constant_pixel_marked_missing():
     params = t2_truth_field(2, 2)
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
-    x, y, series = records[1]
-    records[1] = (x, y, TimeSeries(series.tau,
-                                   np.full_like(series.signal, 3.0)))
-    pixel_map = mapping.assemble(records, "t2", pitch=PITCH)
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
+    signal = data.traces[0].signal.copy()
+    signal[1] = 3.0
+    pixel_map = mapping.assemble(edited(data, signal=signal), "t2",
+                                 pitch=PITCH)
     assert np.isnan(pixel_map.values[0, 1])
     assert np.sum(np.isfinite(pixel_map.values)) == 3
 
@@ -101,21 +126,20 @@ def test_constant_pixel_marked_missing():
 def test_missing_pixels_counted_by_reason(tmp_path):
     params = t2_truth_field(2, 3)
     params[1, 2, 1] = 60e-6  # the pixel whose derived value fails
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.001, 0)
-    x, y, series = records[0]
-    records[0] = (x, y, TimeSeries(series.tau,
-                                   np.full_like(series.signal, 3.0)))
-    x, y, series = records[1]
-    rising = TimeSeries(series.tau, np.linspace(0.0, 1.0, len(series)))
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.001, 0)
+    signal = data.traces[0].signal.copy()
+    signal[0] = 3.0
+    signal[1] = np.linspace(0.0, 1.0, len(t2_tau()))
+    rising = TimeSeries(t2_tau(), signal[1])
     assert not pulse_fit.fit("t2", rising).converged
-    records[1] = (x, y, rising)
 
     def derive(result):
         if result.params[1] > 50e-6:
             raise ValueError("out of range")
         return float(result.params[1])
 
-    pixel_map = mapping.assemble(records, "t2", derive=derive, pitch=PITCH)
+    pixel_map = mapping.assemble(edited(data, signal=signal), "t2",
+                                 derive=derive, pitch=PITCH)
     assert pixel_map.failures == {"unidentifiable": 1, "not_converged": 1,
                                   "derive_failed": 1}
     assert np.isnan(pixel_map.values[0, 0]) and np.isnan(pixel_map.values[0, 1])
@@ -169,8 +193,8 @@ def test_stats_scaling():
 
 def test_stats_match_truth_field_at_zero_noise():
     params = t2_truth_field(6, 4)
-    records = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
-    pixel_map = mapping.assemble(records, "t2")
+    data = mapping.synth_map(params, "t2", t2_tau(), 0.0, 0)
+    pixel_map = mapping.assemble(data, "t2")
     s = mapping.stats(pixel_map)
     truth = params[:, :, 1]
     assert s.mean == pytest.approx(np.mean(truth), rel=1e-6)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lrcfm.nv_rates import (NvRateSet, PumpModel, SteadyState, cw_fluorescence,
-                            polarization, steady_state)
+from lrcfm.nv_rates import (NvRateSet, PumpModel, SteadyState,
+                            condition_numbers, cw_fluorescence, polarization,
+                            steady_state)
 
 from conftest import ode_steady_state, random_rate_set
 
@@ -128,6 +129,7 @@ def test_condition_number_reported(example_rates):
     ss = steady_state(rates, pump, 1e8)
     assert ss.condition_number is not None
     assert ss.condition_number > 1.0
+    assert ss.condition_number == condition_numbers(rates, pump, 1e8)
 
 
 def test_load_rate_file_errors(tmp_path):
