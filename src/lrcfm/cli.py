@@ -369,6 +369,10 @@ def cmd_simulate(args) -> int:
         tau = np.linspace(float(_entry(spec, "start_s", where, _NUMBER)),
                           float(_entry(spec, "stop_s", where, _NUMBER)),
                           _count(spec, "points", where))
+    try:  # a grid `map` would refuse
+        pulse_fit.check_points(args.model, len(tau))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     origin = (0.0, 0.0)
     if "origin_um" in truth:
         origin = _floats(truth, "origin_um", where)

@@ -16,11 +16,14 @@ Fitting uses variable projection (Golub & Pereyra 1973): the linear
 parameters are solved exactly, by a small normal-equation solve, at every
 value of the nonlinear ones, and only the nonlinear parameters are
 iterated, by damped Gauss-Newton (Levenberg-style adaptive damping) with
-Kaufman's (1975) Jacobian of the projected residual. The nonlinear
-parameters are positive, and are optimized as their logarithms. The rabi
-phase is part of the linear solve, so a rabi fit needs no phase restarts.
-The covariance is that of all parameters, from the full-model Jacobian at
-the solution.
+Kaufman's (1975) Jacobian of the projected residual. That Jacobian is
+built from the basis and the normal matrix already formed for the linear
+solve: each derivative (d phi / d theta) c is a product of the basis
+columns themselves, so an iteration evaluates no model Jacobian. The
+nonlinear parameters are positive, and are optimized as their logarithms.
+The rabi phase is part of the linear solve, so a rabi fit needs no phase
+restarts. The covariance is that of all parameters, from the full-model
+Jacobian (`model_jacobian`) at the solution.
 
 There is one engine, `_variable_projection`, and it works on a stack of
 rows: `fit_many` fits each `Traces` stack (every trace of a map that
@@ -141,11 +144,7 @@ def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
         jac = np.empty(env.shape + (3,))
         jac[..., 0] = env
         jac[..., 1] = a1 * env * u * a3 / a2
-        # u * log(tau/a2) -> 0 as tau -> 0 for a3 > 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ulog = np.where(tau > 0, u * np.log(np.where(tau > 0, tau, 1.0) / a2),
-                            0.0)
-        jac[..., 2] = -a1 * env * ulog
+        jac[..., 2] = -a1 * env * _stretched_log(tau, a2, u)
         return jac
     raise ValueError(f"unknown model {model!r}")
 
@@ -153,6 +152,14 @@ def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
 def _stretched_power(tau, a2, a3):
     with np.errstate(divide="ignore"):
         return np.where(tau > 0, (tau / a2) ** a3, 0.0)
+
+
+def _stretched_log(tau, a2, u):
+    """u * log(tau/a2) for u = _stretched_power(tau, a2, a3): d u / d a3,
+    taken as its limit 0 at tau = 0 (for a3 > 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tau > 0, u * np.log(np.where(tau > 0, tau, 1.0) / a2),
+                        0.0)
 
 
 def fit(model: str, data: TimeSeries, init=None,
@@ -193,16 +200,23 @@ def fit_many(model: str, stacks: list[Traces]) -> list[FitResult | None]:
     return results
 
 
+def check_points(model: str, n: int) -> None:
+    """Refuse a tau grid of n points for `model`: a fit needs at least one
+    point more than the model has parameters."""
+    arity = MODEL_ARITY.get(model)
+    if arity is None:
+        raise ValueError(f"unknown model {model!r}")
+    if n < arity + 1:
+        raise ValueError(f"{model} fit needs at least {arity + 1} points, "
+                         f"got {n}")
+
+
 def _starts(model: str, traces: Traces, init=None):
     """Validate a stack for `model`. Returns its identifiable traces (those
     whose signal is not constant) and their starting nonlinear
     parameters, as logarithms, shape (k, q)."""
-    arity = MODEL_ARITY.get(model)
-    if arity is None:
-        raise ValueError(f"unknown model {model!r}")
-    if len(traces.tau) < arity + 1:
-        raise ValueError(f"{model} fit needs at least {arity + 1} points, "
-                         f"got {len(traces.tau)}")
+    check_points(model, len(traces.tau))
+    arity = MODEL_ARITY[model]
     identifiable = np.ptp(traces.signal, axis=1) != 0.0
     if not identifiable.all():
         traces = traces.take(identifiable)
@@ -272,15 +286,43 @@ def _positive(theta):
 def _basis(model, tau, nl):
     """The columns multiplying the linear parameters, shape (N, len(tau),
     k), at nonlinear parameters nl = a[_NONLINEAR], shape (N, q)."""
+    if model == "t2":
+        return np.exp(-_stretched_power(tau, nl[:, :1], nl[:, 1:]))[:, :, None]
+    env = np.exp(-tau / nl[:, :1])
+    phi = np.empty(env.shape + (3 if model == "rabi" else 2,))
     if model == "rabi":
-        env = np.exp(-tau / nl[:, :1])
         phase = 2 * np.pi * nl[:, 1:] * tau
-        return np.stack([env * np.cos(phase), env * np.sin(phase),
-                         np.ones_like(env)], axis=-1)
-    if model == "t1":
-        env = np.exp(-tau / nl[:, :1])
-        return np.stack([env, np.ones_like(env)], axis=-1)
-    return np.exp(-_stretched_power(tau, nl[:, :1], nl[:, 1:]))[:, :, None]
+        np.multiply(env, np.cos(phase), out=phi[:, :, 0])
+        np.multiply(env, np.sin(phase), out=phi[:, :, 1])
+    else:
+        phi[:, :, 0] = env
+    phi[:, :, -1] = 1.0
+    return phi
+
+
+def _basis_derivatives(model, tau, nl, phi, c):
+    """(d phi / d theta_j) c for each nonlinear parameter j, shape (N,
+    len(tau), q): the derivative of the model phi c in theta = log(nl) at
+    fixed linear coefficients c (N, k), built from the columns of the
+    (weighted) basis phi = _basis(model, tau, nl) themselves. Equals the
+    nonlinear columns of `_log_jacobian`, with the same non-finite
+    entries where an extreme nl overflows."""
+    v = np.empty(phi.shape[:2] + (len(_NONLINEAR[model]),))
+    if model == "rabi":
+        a2, a3 = nl[:, :1], nl[:, 1:]
+        c0, c1 = c[:, :1], c[:, 1:2]
+        p0, p1 = phi[:, :, 0], phi[:, :, 1]
+        v[:, :, 0] = tau / a2 * (c0 * p0 + c1 * p1)
+        v[:, :, 1] = 2 * np.pi * a3 * tau * (c1 * p0 - c0 * p1)
+    elif model == "t1":
+        v[:, :, 0] = tau / nl[:, :1] * (c[:, :1] * phi[:, :, 0])
+    else:
+        a2, a3 = nl[:, :1], nl[:, 1:]
+        u = _stretched_power(tau, a2, a3)
+        f = c[:, :1] * phi[:, :, 0]
+        v[:, :, 0] = a3 * u * f
+        v[:, :, 1] = -a3 * _stretched_log(tau, a2, u) * f
+    return v
 
 
 def _full_params(model, nl, c):
@@ -302,7 +344,10 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
     At every theta the linear coefficients c solve the weighted normal
     equations (phi^T phi) c = phi^T y exactly, and the residual is
     r = phi c - y. The Jacobian of r is Kaufman's P (d phi / d theta) c,
-    with P the projector off the columns of phi.
+    with P the projector off the columns of phi (Kaufman 1975; O'Leary &
+    Rust 2013). `_basis_derivatives` builds (d phi / d theta) c from phi
+    and c, and P reuses the phi^T phi of the linear solve at the same
+    theta, so a new iteration costs no model evaluation.
 
     Every row runs its own loop: per iteration one Jacobian, then trial
     steps with damping lam (start 1e-3, /10 on accept, x10 on reject or
@@ -334,29 +379,27 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
     # extreme trial iterates can overflow/underflow or make phi singular;
     # such steps are simply rejected by the non-finite cost check
     def project(rows, trial):
-        """Weighted basis, linear coefficients, residuals and cost of
-        `rows` at nonlinear parameters `trial`."""
-        phi = _basis(model, tau, _positive(trial))
+        """Nonlinear parameters, weighted basis, its Gram matrix phi^T phi,
+        linear coefficients, residuals and cost of `rows` at `trial`."""
+        nl = _positive(trial)
+        phi = _basis(model, tau, nl)
         if sigma is not None:
             phi /= sigma[rows][:, :, None]
         phit = phi.transpose(0, 2, 1)
-        c = _solve_rows(phit @ phi, (phit @ y[rows][:, :, None])[:, :, 0])
+        gram = phit @ phi
+        c = _solve_rows(gram, (phit @ y[rows][:, :, None])[:, :, 0])
         r = (phi @ c[:, :, None])[:, :, 0]
         r -= y[rows]
-        return phi, c, r, np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+        return (nl, phi, gram, c, r,
+                np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0])
 
-    def linearize(rows, phi, c, r):
-        """Start a new iteration of `rows` at theta[rows]."""
+    def linearize(rows, nl, phi, gram, c, r):
+        """Start a new iteration of `rows` at theta[rows], where `project`
+        gave nl, phi, gram, c and r."""
         iterations[rows] += 1
         rejected[rows] = 0
-        # (d phi / d theta_j) c is the model's derivative in theta_j at
-        # fixed linear coefficients
-        v = _log_jacobian(model, tau,
-                          _full_params(model, _positive(theta[rows]), c),
-                          None if sigma is None else sigma[rows]
-                          )[:, :, list(_NONLINEAR[model])]
-        phit = phi.transpose(0, 2, 1)
-        jb = v - phi @ _solve_rows(phit @ phi, phit @ v)
+        v = _basis_derivatives(model, tau, nl, phi, c)
+        jb = v - phi @ _solve_rows(gram, phi.transpose(0, 2, 1) @ v)
         jbt = jb.transpose(0, 2, 1)
         jtj[rows] = jbt @ jb
         g[rows] = (jbt @ r[:, :, None])[:, :, 0]
@@ -370,15 +413,16 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
                 rows = np.arange(next_row,
                                  min(m, next_row + _LANES - active.size))
                 next_row = rows[-1] + 1
-                phi, coef[rows], r, cost[rows] = project(rows, theta[rows])
-                linearize(rows, phi, coef[rows], r)
+                nl, phi, gram, coef[rows], r, cost[rows] = project(
+                    rows, theta[rows])
+                linearize(rows, nl, phi, gram, coef[rows], r)
                 active = np.concatenate([active, rows])
             damped = jtj[active]
             damped[:, diagonal, diagonal] += lam[active, None] * np.clip(
                 damped[:, diagonal, diagonal], 1e-300, None)
             step = _solve_rows(damped, -g[active])
             trial = theta[active] + step
-            phi, c, r, cost_trial = project(active, trial)
+            nl, phi, gram, c, r, cost_trial = project(active, trial)
             accept = np.isfinite(cost_trial) & (cost_trial <= cost[active])
             rows = active[~accept]
             lam[rows] *= 10.0
@@ -395,7 +439,8 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
             going = accept.copy()
             going[accept] = ~finished[rows]
             if going.any():
-                linearize(active[going], phi[going], c[going], r[going])
+                linearize(active[going], nl[going], phi[going], gram[going],
+                          c[going], r[going])
             active = active[~finished[active]]
     return theta, coef, cost, converged, iterations
 

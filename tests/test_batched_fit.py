@@ -383,6 +383,81 @@ def test_rabi_field_needs_few_rounds(monkeypatch):
     assert len(rounds) <= 40
 
 
+def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
+    """The iterations build Kaufman's Jacobian from the basis in hand; the
+    full-model Jacobian is evaluated once per batch of _LANES rows, for
+    the covariance at the solution."""
+    series, _ = field("rabi", seed=6)
+    jacobian = pulse_fit.model_jacobian
+    rows = []
+
+    def counting(model, tau, a):
+        rows.append(len(a))
+        return jacobian(model, tau, a)
+
+    monkeypatch.setattr(pulse_fit, "model_jacobian", counting)
+    results = pulse_fit.fit_many("rabi", as_stacks(series))
+    assert len(series) == 147 and all(r.converged for r in results)
+    assert len(rows) == math.ceil(147 / pulse_fit._LANES) == 2
+    assert sum(rows) == 147
+
+
+def nonlinear_rows(model, rng, n):
+    """n log nonlinear parameter rows around the field ranges above."""
+    if model == "rabi":
+        return np.log(np.column_stack([_log_uniform(rng, 0.3e-6, 30e-6, n),
+                                       _log_uniform(rng, 0.1e6, 20e6, n)]))
+    if model == "t1":
+        return np.log(_log_uniform(rng, 0.1e-3, 10e-3, (n, 1)))
+    return np.log(np.column_stack([_log_uniform(rng, 3e-6, 200e-6, n),
+                                   rng.uniform(0.3, 4.0, n)]))
+
+
+@pytest.mark.parametrize("with_sigma", [False, True])
+@pytest.mark.parametrize("model", ["rabi", "t1", "t2"])
+def test_basis_derivatives_equal_log_jacobian(model, with_sigma):
+    """(d phi / d theta) c from the weighted basis equals the nonlinear
+    columns of the full-model log Jacobian (to 1e-12 of the largest entry
+    of the row: near a zero of the rabi cosine both paths lose their
+    relative accuracy). With parameters on and above the cap of
+    `_positive` it is non-finite exactly where that is; the finite values
+    there are not compared, since neither path resolves a rabi phase of
+    ~1e299 rad or keeps tau / a2**2 from underflowing."""
+    rng = np.random.default_rng([31, N_TAU, with_sigma, len(model)])
+    n = 64
+    span = {"rabi": 4e-6, "t1": 5e-3, "t2": 160e-6}[model]
+    tau = np.linspace(0.0, span, N_TAU)  # tau = 0 included
+    q = len(pulse_fit._NONLINEAR[model])
+    k = MODEL_ARITY[model] - q
+    theta = nonlinear_rows(model, rng, n)
+    capped = theta[:3 * q].copy()  # each parameter on the cap, then all
+    for j in range(q):
+        capped[j, j] = 700.0
+        capped[q + j, j] = 750.0
+    capped[2 * q:] = 700.0
+    theta = np.vstack([theta, capped])
+    coef = rng.normal(0.0, 1.0, (len(theta), k))
+    sigma = (np.exp(rng.normal(-4.0, 0.5, (len(theta), N_TAU)))
+             if with_sigma else None)
+    nl = pulse_fit._positive(theta)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        phi = pulse_fit._basis(model, tau, nl)
+        if with_sigma:
+            phi /= sigma[:, :, None]
+        got = pulse_fit._basis_derivatives(model, tau, nl, phi, coef)
+        want = pulse_fit._log_jacobian(
+            model, tau, pulse_fit._full_params(model, nl, coef), sigma
+        )[..., list(pulse_fit._NONLINEAR[model])]
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    if model == "t2":  # u = inf where tau > a2 at a3 on the cap
+        assert not finite[n:].all()
+    assert finite[:n].all()
+    got, want = got[:n], want[:n]
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 def test_singular_rows_get_no_step():
     good = np.array([[2.0, 1.0], [1.0, 3.0]])
     matrices = np.stack([good, np.zeros((2, 2)), 2 * good])

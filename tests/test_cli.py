@@ -442,10 +442,13 @@ def test_malformed_manifest_is_input_error(tmp_path, capsys, edit):
     lambda t: {**t, "tau": {**t["tau"], "points": 0}},
     lambda t: {**t, "tau": {**t["tau"], "points": 20.5}},
     lambda t: {**{k: v for k, v in t.items() if k != "tau"}, "tau_s": []},
+    lambda t: {**t, "tau": {**t["tau"], "points": 3}},
+    lambda t: {**{k: v for k, v in t.items() if k != "tau"},
+               "tau_s": [0.0, 1e-6, 2e-6]},
 ], ids=["no-nx", "no-ny", "no-params", "no-tau", "no-stop", "list-nx",
         "object-param", "short-origin", "not-object", "zero-nx",
         "fractional-nx", "negative-ny", "zero-points", "fractional-points",
-        "empty-tau"])
+        "empty-tau", "short-points", "short-tau-list"])
 def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
              "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}}
@@ -457,6 +460,26 @@ def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     assert code == 2
     assert "Traceback" not in err and "truth" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_refuses_a_grid_map_refuses(tmp_path, capsys):
+    """A t2 truth on 3 delays: `simulate` gives the message `map` would
+    give for its pixel files, and 4 delays are enough for both."""
+    truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
+             "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 3}}
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps(truth))
+    out = tmp_path / "short"
+    assert run("--out", out, "simulate", "--model", "t2", "--truth", path) == 2
+    assert "t2 fit needs at least 4 points, got 3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    truth["tau"]["points"] = 4
+    path.write_text(json.dumps(truth))
+    data = tmp_path / "data"
+    assert run("--out", data, "simulate", "--model", "t2", "--truth",
+               path) == 0
+    assert run("--out", tmp_path / "map", "map", "--model", "t2",
+               "--manifest", data) == 0
 
 
 def test_linalg_failure_is_numerical(tmp_path, monkeypatch, capsys):
