@@ -199,6 +199,11 @@ def _check_interior(opt: designer.OptimalResult) -> None:
                           f"optimum may lie beyond it; move {key}")
 
 
+# An absurd magnitude in a config (laser.power = 1e-320 W) makes the design
+# numerics divide by zero or overflow; _check_design_output refuses every
+# non-finite value they would write, so numpy's warnings would only add
+# lines to its one-line error. The same holds for cmd_sweep.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def cmd_design(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
@@ -250,6 +255,7 @@ def cmd_design(args) -> int:
     return EXIT_OK
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     out = _out_dir(args, cfg)
@@ -369,7 +375,8 @@ def cmd_simulate(args) -> int:
         tau = np.linspace(float(_entry(spec, "start_s", where, _NUMBER)),
                           float(_entry(spec, "stop_s", where, _NUMBER)),
                           _count(spec, "points", where))
-    try:  # a grid `map` would refuse
+    try:  # a grid `map` would refuse, before any model evaluation
+        traces.check_tau(tau)
         pulse_fit.check_points(args.model, len(tau))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None

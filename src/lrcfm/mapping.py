@@ -22,17 +22,16 @@ from . import pulse_fit
 from .io import atomic_write
 from .traces import Traces
 
-QUANTITIES = ("pi_time", "t1", "t2", "custom")
-# why a fitted pixel is missing, in the order stats.json reports them
-FAILURES = ("unidentifiable", "not_converged", "derive_failed")
-
-# default per-model map quantity: rabi maps report the pi time, decay
-# maps report the fitted time constant a2
-_DEFAULT_DERIVE = {
+# per-model map quantity, its units, and its value from a fit: rabi maps
+# report the pi time, decay maps the fitted time constant a2
+_DERIVE = {
     "rabi": ("pi_time", "s", pulse_fit.pi_time),
     "t1": ("t1", "s", lambda r: float(r.params[1])),
     "t2": ("t2", "s", lambda r: float(r.params[1])),
 }
+QUANTITIES = tuple(quantity for quantity, _, _ in _DERIVE.values())
+# why a fitted pixel is missing, in the order stats.json reports them
+FAILURES = ("unidentifiable", "not_converged", "derive_failed")
 
 
 @dataclass(frozen=True)
@@ -99,11 +98,10 @@ class Dataset:
     traces: list[Traces]
 
 
-def assemble(data: Dataset, model: str, derive=None,
-             pitch: float | None = None, quantity: str | None = None,
-             units: str | None = None) -> PixelMap:
-    """Fit every pixel of `data` and place the derived scalar on a regular
-    grid.
+def assemble(data: Dataset, model: str,
+             pitch: float | None = None) -> PixelMap:
+    """Fit every pixel of `data` and place the model's map quantity (pi
+    time for rabi, a2 for t1 and t2) on a regular grid.
 
     Coordinates must snap to a common grid (tolerance pitch/100); the
     pitch is inferred from coordinate spacing when not given. Each stack
@@ -114,11 +112,7 @@ def assemble(data: Dataset, model: str, derive=None,
     xs, ys = data.x, data.y
     if not xs.size:
         raise ValueError("no pixels to assemble")
-    if derive is None:
-        quantity, units, derive = _DEFAULT_DERIVE[model]
-    else:
-        quantity = quantity or "custom"
-        units = units or ""
+    quantity, units, derive = _DERIVE[model]
     if pitch is None:
         pitch = _infer_pitch(xs, ys)
     x0, y0 = float(np.min(xs)), float(np.min(ys))

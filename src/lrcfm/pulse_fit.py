@@ -12,6 +12,11 @@ Each model is linear in some parameters once the others are fixed:
 * t1:   nonlinear a2;       linear (a1, a3)
 * t2:   nonlinear (a2, a3); linear a1
 
+Each model is written once, in that form: `_basis` gives the columns phi
+multiplying the linear coefficients c, `_basis_derivatives` the
+derivatives (d phi / d a) c. `model_eval` (phi c) and `model_jacobian`
+are built from these, so fits, covariances and `simulate` share them.
+
 Fitting uses variable projection (Golub & Pereyra 1973): the linear
 parameters are solved exactly, by a small normal-equation solve, at every
 value of the nonlinear ones, and only the nonlinear parameters are
@@ -58,6 +63,8 @@ MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
 # indices of the nonlinear parameters, which are positive and optimized as
 # logarithms; the model is linear in the others
 _NONLINEAR = {"rabi": (1, 2), "t1": (1,), "t2": (1, 2)}
+# of the decay models, the parameters that are the linear coefficients
+_LINEAR = {"t1": (0, 2), "t2": (0,)}
 
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8
@@ -91,62 +98,48 @@ class FitResult:
         }
 
 
-def _columns(a):
-    """Parameter columns a_1..a_p of a (p,) vector or an (N, p) stack,
-    shaped to broadcast against tau: (1,) or (N, 1) each."""
-    return np.asarray(a, dtype=float).T[..., None]
-
-
 def model_eval(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Model values at tau: shape (len(tau),) for parameters a of shape
-    (p,), or (N, len(tau)) for a stack of N parameter rows."""
+    (p,), or (N, len(tau)) for a stack of N parameter rows. The basis
+    times the linear coefficients, as the fitter evaluates the model."""
     tau = np.asarray(tau, dtype=float)
-    if model == "rabi":
-        a1, a2, a3, a4, a5 = _columns(a)
-        return a1 * np.exp(-tau / a2) * np.cos(2 * np.pi * a3 * tau + a4) + a5
-    if model == "t1":
-        a1, a2, a3 = _columns(a)
-        return a1 * np.exp(-tau / a2) + a3
-    if model == "t2":
-        a1, a2, a3 = _columns(a)
-        return a1 * np.exp(-_stretched_power(tau, a2, a3))
-    raise ValueError(f"unknown model {model!r}")
+    rows, nl = _parameter_rows(model, a)
+    phi, c = _basis(model, tau, nl), _coefficients(model, rows)
+    # summed column by column, without BLAS (which may fuse a multiply and
+    # an add), so a t1 or t2 value is a1*exp(...) + a3 rounded as written
+    f = phi[:, :, 0] * c[:, :1]
+    for j in range(1, c.shape[1]):
+        f += phi[:, :, j] * c[:, j:j + 1]
+    return f[0] if np.ndim(a) == 1 else f
 
 
 def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
     """d f / d a_j in the original parameters: shape (len(tau), arity), or
-    (N, len(tau), arity) for a stack of N parameter rows."""
+    (N, len(tau), arity) for a stack of N parameter rows. The nonlinear
+    columns are `_basis_derivatives`, the linear ones the basis."""
     tau = np.asarray(tau, dtype=float)
-    if model == "rabi":
-        a1, a2, a3, a4, a5 = _columns(a)
-        env = np.exp(-tau / a2)
-        phase = 2 * np.pi * a3 * tau + a4
-        c, s = np.cos(phase), np.sin(phase)
-        jac = np.empty(env.shape + (5,))
-        jac[..., 0] = env * c
-        jac[..., 1] = a1 * env * c * tau / a2 ** 2
-        jac[..., 2] = -a1 * env * s * 2 * np.pi * tau
-        jac[..., 3] = -a1 * env * s
-        jac[..., 4] = 1.0
-        return jac
-    if model == "t1":
-        a1, a2, a3 = _columns(a)
-        env = np.exp(-tau / a2)
-        jac = np.empty(env.shape + (3,))
-        jac[..., 0] = env
-        jac[..., 1] = a1 * env * tau / a2 ** 2
-        jac[..., 2] = 1.0
-        return jac
-    if model == "t2":
-        a1, a2, a3 = _columns(a)
-        u = _stretched_power(tau, a2, a3)
-        env = np.exp(-u)
-        jac = np.empty(env.shape + (3,))
-        jac[..., 0] = env
-        jac[..., 1] = a1 * env * u * a3 / a2
-        jac[..., 2] = -a1 * env * _stretched_log(tau, a2, u)
-        return jac
-    raise ValueError(f"unknown model {model!r}")
+    rows, nl = _parameter_rows(model, a)
+    c = _coefficients(model, rows)
+    phi = _basis(model, tau, nl)
+    jac = np.empty(phi.shape[:2] + rows.shape[1:])
+    jac[:, :, _NONLINEAR[model]] = _basis_derivatives(model, tau, nl, phi, c)
+    if model == "rabi":  # (a1, a4) are the polar form of (c0, c1)
+        p0, p1 = phi[:, :, 0], phi[:, :, 1]
+        jac[:, :, 0] = np.cos(rows[:, 3:4]) * p0 - np.sin(rows[:, 3:4]) * p1
+        jac[:, :, 3] = c[:, 1:2] * p0 - c[:, :1] * p1
+        jac[:, :, 4] = phi[:, :, 2]
+    else:
+        jac[:, :, _LINEAR[model]] = phi
+    return jac[0] if np.ndim(a) == 1 else jac
+
+
+def _parameter_rows(model, a):
+    """Parameter rows (N, arity) of a (p,) vector or an (N, p) stack, and
+    their nonlinear entries (N, q)."""
+    if model not in MODEL_ARITY:
+        raise ValueError(f"unknown model {model!r}")
+    rows = np.atleast_2d(np.asarray(a, dtype=float))
+    return rows, rows[:, _NONLINEAR[model]]
 
 
 def _stretched_power(tau, a2, a3):
@@ -301,28 +294,35 @@ def _basis(model, tau, nl):
 
 
 def _basis_derivatives(model, tau, nl, phi, c):
-    """(d phi / d theta_j) c for each nonlinear parameter j, shape (N,
-    len(tau), q): the derivative of the model phi c in theta = log(nl) at
-    fixed linear coefficients c (N, k), built from the columns of the
-    (weighted) basis phi = _basis(model, tau, nl) themselves. Equals the
-    nonlinear columns of `_log_jacobian`, with the same non-finite
-    entries where an extreme nl overflows."""
+    """(d phi / d a_j) c for each nonlinear parameter a_j, shape (N,
+    len(tau), q): the derivative of the model phi c at fixed linear
+    coefficients c (N, k), built from the columns of the (weighted) basis
+    phi = _basis(model, tau, nl) themselves. Times a_j, it is the
+    derivative in theta_j = log(a_j)."""
     v = np.empty(phi.shape[:2] + (len(_NONLINEAR[model]),))
     if model == "rabi":
-        a2, a3 = nl[:, :1], nl[:, 1:]
         c0, c1 = c[:, :1], c[:, 1:2]
         p0, p1 = phi[:, :, 0], phi[:, :, 1]
-        v[:, :, 0] = tau / a2 * (c0 * p0 + c1 * p1)
-        v[:, :, 1] = 2 * np.pi * a3 * tau * (c1 * p0 - c0 * p1)
+        v[:, :, 0] = (c0 * p0 + c1 * p1) * tau / nl[:, :1] ** 2
+        v[:, :, 1] = 2 * np.pi * tau * (c1 * p0 - c0 * p1)
     elif model == "t1":
-        v[:, :, 0] = tau / nl[:, :1] * (c[:, :1] * phi[:, :, 0])
+        v[:, :, 0] = c[:, :1] * phi[:, :, 0] * tau / nl[:, :1] ** 2
     else:
         a2, a3 = nl[:, :1], nl[:, 1:]
         u = _stretched_power(tau, a2, a3)
         f = c[:, :1] * phi[:, :, 0]
-        v[:, :, 0] = a3 * u * f
-        v[:, :, 1] = -a3 * _stretched_log(tau, a2, u) * f
+        v[:, :, 0] = f * u * a3 / a2
+        v[:, :, 1] = -f * _stretched_log(tau, a2, u)
     return v
+
+
+def _coefficients(model, a):
+    """Linear coefficients c (N, k) of parameter rows a (N, arity): the
+    inverse of `_full_params`."""
+    if model == "rabi":
+        return np.column_stack([a[:, 0] * np.cos(a[:, 3]),
+                                -a[:, 0] * np.sin(a[:, 3]), a[:, 4]])
+    return a[:, _LINEAR[model]]
 
 
 def _full_params(model, nl, c):
@@ -345,9 +345,10 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
     equations (phi^T phi) c = phi^T y exactly, and the residual is
     r = phi c - y. The Jacobian of r is Kaufman's P (d phi / d theta) c,
     with P the projector off the columns of phi (Kaufman 1975; O'Leary &
-    Rust 2013). `_basis_derivatives` builds (d phi / d theta) c from phi
-    and c, and P reuses the phi^T phi of the linear solve at the same
-    theta, so a new iteration costs no model evaluation.
+    Rust 2013). `_basis_derivatives` builds (d phi / d a) c from phi and
+    c; times diag(a) it is (d phi / d theta) c, a scaling applied to the
+    small normal matrix and gradient. P reuses the phi^T phi of the linear
+    solve at the same theta, so a new iteration costs no model evaluation.
 
     Every row runs its own loop: per iteration one Jacobian, then trial
     steps with damping lam (start 1e-3, /10 on accept, x10 on reject or
@@ -401,8 +402,9 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
         v = _basis_derivatives(model, tau, nl, phi, c)
         jb = v - phi @ _solve_rows(gram, phi.transpose(0, 2, 1) @ v)
         jbt = jb.transpose(0, 2, 1)
-        jtj[rows] = jbt @ jb
-        g[rows] = (jbt @ r[:, :, None])[:, :, 0]
+        # in theta = log(a) the Jacobian is jb diag(a)
+        jtj[rows] = jbt @ jb * (nl[:, :, None] * nl[:, None, :])
+        g[rows] = (jbt @ r[:, :, None])[:, :, 0] * nl
 
     active = np.arange(0)
     next_row = 0

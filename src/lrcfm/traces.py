@@ -11,11 +11,11 @@ delay (at least one), as wide as the header. Blank and whitespace-only
 lines are skipped; lines may end in LF, CRLF or CR. Each value is parsed as
 Python's float() parses it (surrounding spaces, `1_000`, `+.5`, `1E5`
 and non-ASCII digits included), so a file reads the same alone or among
-others. tau must strictly increase, tau and the readings must be finite,
-and sigma must be positive. `read_traces` converts each distinct tau
-column once and the readings one file at a time; `write_traces` writes
-every value as its repr(), which reads back to the same float, and
-formats a shared tau column once.
+others. tau must strictly increase and be non-negative (-0 counts as 0),
+tau and the readings must be finite, and sigma must be positive.
+`read_traces` converts each distinct tau column once and the readings one
+file at a time; `write_traces` writes every value as its repr(), which
+reads back to the same float, and formats a shared tau column once.
 """
 
 from __future__ import annotations
@@ -28,11 +28,15 @@ import numpy as np
 from .io import atomic_write
 
 
-def _check_tau(tau) -> None:
+def check_tau(tau) -> None:
+    """Refuse a tau grid that is not finite, non-negative and strictly
+    increasing (-0.0 is a valid delay)."""
     if np.any(np.diff(tau) <= 0):
         raise ValueError("tau must be strictly increasing")
     if not np.isfinite(tau).all():
         raise ValueError("tau and signal must be finite")
+    if np.any(tau < 0):
+        raise ValueError("tau must be non-negative")
 
 
 def _check_readings(signal, sigma) -> None:
@@ -61,7 +65,7 @@ class TimeSeries:
         if self.sigma is not None:
             object.__setattr__(self, "sigma",
                                np.asarray(self.sigma, dtype=float))
-        _check_tau(tau)
+        check_tau(tau)
         _check_readings(signal, self.sigma)
 
     def __len__(self):
@@ -107,7 +111,7 @@ class Traces:
         if self.sigma is not None:
             object.__setattr__(self, "sigma",
                                np.asarray(self.sigma, dtype=float))
-        _check_tau(tau)
+        check_tau(tau)
         _check_readings(signal, self.sigma)
 
     def __len__(self):
@@ -141,7 +145,7 @@ def read_traces(paths) -> list[Traces]:
             key = ",".join(values[0::width])
             if key not in taus:
                 taus[key] = np.array(values[0::width], dtype=float)
-                _check_tau(taus[key])
+                check_tau(taus[key])
             signal = np.array(values[1::width], dtype=float)
             sigma = np.array(values[2::width], dtype=float) \
                 if width == 3 else None

@@ -402,6 +402,169 @@ def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
     assert sum(rows) == 147
 
 
+# ---------------------------------------------------------------------------
+# closed-form models (verbatim): the package's former model_eval and
+# model_jacobian, one closed-form expression per model and derivative.
+# The package now derives both from the fitter's basis; these keep an
+# independent derivation to test it against.
+# ---------------------------------------------------------------------------
+
+
+def _closed_form_columns(a):
+    """Parameter columns a_1..a_p of a (p,) vector or an (N, p) stack,
+    shaped to broadcast against tau: (1,) or (N, 1) each."""
+    return np.asarray(a, dtype=float).T[..., None]
+
+
+def _closed_form_stretched_power(tau, a2, a3):
+    with np.errstate(divide="ignore"):
+        return np.where(tau > 0, (tau / a2) ** a3, 0.0)
+
+
+def _closed_form_stretched_log(tau, a2, u):
+    """u * log(tau/a2) for u = _stretched_power(tau, a2, a3): d u / d a3,
+    taken as its limit 0 at tau = 0 (for a3 > 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(tau > 0, u * np.log(np.where(tau > 0, tau, 1.0) / a2),
+                        0.0)
+
+
+def closed_form_model_eval(model, tau, a):
+    """Model values at tau: shape (len(tau),) for parameters a of shape
+    (p,), or (N, len(tau)) for a stack of N parameter rows."""
+    tau = np.asarray(tau, dtype=float)
+    if model == "rabi":
+        a1, a2, a3, a4, a5 = _closed_form_columns(a)
+        return a1 * np.exp(-tau / a2) * np.cos(2 * np.pi * a3 * tau + a4) + a5
+    if model == "t1":
+        a1, a2, a3 = _closed_form_columns(a)
+        return a1 * np.exp(-tau / a2) + a3
+    if model == "t2":
+        a1, a2, a3 = _closed_form_columns(a)
+        return a1 * np.exp(-_closed_form_stretched_power(tau, a2, a3))
+    raise ValueError(f"unknown model {model!r}")
+
+
+def closed_form_model_jacobian(model, tau, a):
+    """d f / d a_j in the original parameters: shape (len(tau), arity), or
+    (N, len(tau), arity) for a stack of N parameter rows."""
+    tau = np.asarray(tau, dtype=float)
+    if model == "rabi":
+        a1, a2, a3, a4, a5 = _closed_form_columns(a)
+        env = np.exp(-tau / a2)
+        phase = 2 * np.pi * a3 * tau + a4
+        c, s = np.cos(phase), np.sin(phase)
+        jac = np.empty(env.shape + (5,))
+        jac[..., 0] = env * c
+        jac[..., 1] = a1 * env * c * tau / a2 ** 2
+        jac[..., 2] = -a1 * env * s * 2 * np.pi * tau
+        jac[..., 3] = -a1 * env * s
+        jac[..., 4] = 1.0
+        return jac
+    if model == "t1":
+        a1, a2, a3 = _closed_form_columns(a)
+        env = np.exp(-tau / a2)
+        jac = np.empty(env.shape + (3,))
+        jac[..., 0] = env
+        jac[..., 1] = a1 * env * tau / a2 ** 2
+        jac[..., 2] = 1.0
+        return jac
+    if model == "t2":
+        a1, a2, a3 = _closed_form_columns(a)
+        u = _closed_form_stretched_power(tau, a2, a3)
+        env = np.exp(-u)
+        jac = np.empty(env.shape + (3,))
+        jac[..., 0] = env
+        jac[..., 1] = a1 * env * u * a3 / a2
+        jac[..., 2] = -a1 * env * _closed_form_stretched_log(tau, a2, u)
+        return jac
+    raise ValueError(f"unknown model {model!r}")
+
+
+# the basis form of a model may differ from the closed form by this much
+# of the largest magnitude in its row (per Jacobian column): near a zero
+# of the rabi cosine, a1 cos(2 pi a3 tau + a4) and c0 cos + c1 sin round
+# differently (measured: at most 1.3e-14 of the row scale)
+BASIS_RTOL = 1e-12
+SPAN = {"rabi": 4e-6, "t1": 5e-3, "t2": 160e-6}
+
+
+def parameter_rows(model, rng, n):
+    """n seeded parameter rows around the field ranges above, the rabi
+    phase spread over (-pi, pi], then the special rows: a3 = 0 (rabi and
+    t2), and each parameter but the rabi phase at +-1e-300 and +-1e300 in
+    turn (the nonlinear ones only positive)."""
+    if model == "rabi":
+        rows = np.column_stack([rng.normal(0.0, 1.0, n),
+                                _log_uniform(rng, 0.3e-6, 30e-6, n),
+                                _log_uniform(rng, 0.1e6, 20e6, n),
+                                np.linspace(-np.pi, np.pi, n + 1)[1:],
+                                rng.normal(0.0, 1.0, n)])
+    elif model == "t1":
+        rows = np.column_stack([rng.normal(0.0, 1.0, n),
+                                _log_uniform(rng, 0.1e-3, 10e-3, n),
+                                rng.normal(0.0, 1.0, n)])
+    else:
+        rows = np.column_stack([rng.normal(0.0, 1.0, n),
+                                _log_uniform(rng, 3e-6, 200e-6, n),
+                                rng.uniform(0.3, 4.0, n)])
+    special = []
+    if model != "t1":
+        special.append(rows[0].copy())
+        special[-1][2] = 0.0
+    for i in range(rows.shape[1]):
+        if model == "rabi" and i == 3:
+            continue
+        for value in (1e-300, 1e300, -1e-300, -1e300):
+            if value > 0 or i not in pulse_fit._NONLINEAR[model]:
+                special.append(rows[1].copy())
+                special[-1][i] = value
+    return np.vstack([rows, special])
+
+
+def assert_within_row_scale(got, want):
+    """got equals want to BASIS_RTOL of the largest finite magnitude of
+    want along tau (axis 1), where both are finite; and both are finite at
+    the same entries."""
+    finite = np.isfinite(want)
+    assert np.array_equal(np.isfinite(got), finite)
+    scale = np.max(np.abs(np.where(finite, want, 0.0)), axis=1,
+                   keepdims=True)
+    assert np.all(np.abs(np.where(finite, got - want, 0.0))
+                  <= BASIS_RTOL * scale)
+
+
+@pytest.mark.parametrize("stacked", [True, False])
+@pytest.mark.parametrize("model", ["rabi", "t1", "t2"])
+def test_model_functions_equal_closed_form(model, stacked):
+    """model_eval and model_jacobian, from the basis, equal the closed
+    forms to BASIS_RTOL of each row's scale, with the same non-finite
+    entries, called on a stack of rows or row by row (which give equal
+    bits). tau = 0 is on the grid. A rabi row with a3 = 1e300 is compared
+    only for finiteness: its phase (~1e295 rad) is resolved by neither
+    form."""
+    rng = np.random.default_rng([37, len(model)])
+    tau = np.linspace(0.0, SPAN[model], N_TAU)
+    rows = parameter_rows(model, rng, 48)
+    compared = ~((model == "rabi") & (rows[:, 2] > 1e10))
+    for package, closed_form in [
+            (model_eval, closed_form_model_eval),
+            (model_jacobian, closed_form_model_jacobian)]:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = closed_form(model, tau, rows)
+            got = package(model, tau, rows)
+            lone = np.stack([package(model, tau, row) for row in rows])
+        assert np.array_equal(got, lone, equal_nan=True)
+        if not stacked:
+            got = lone
+        assert np.array_equal(np.isfinite(got), np.isfinite(want))
+        assert_within_row_scale(got[compared], want[compared])
+    with pytest.raises(ValueError, match="unknown model"):
+        model_eval("t3", tau, rows[0])
+    with pytest.raises(ValueError, match="unknown model"):
+        model_jacobian("t3", tau, rows)
+
+
 def nonlinear_rows(model, rng, n):
     """n log nonlinear parameter rows around the field ranges above."""
     if model == "rabi":
@@ -416,18 +579,18 @@ def nonlinear_rows(model, rng, n):
 @pytest.mark.parametrize("with_sigma", [False, True])
 @pytest.mark.parametrize("model", ["rabi", "t1", "t2"])
 def test_basis_derivatives_equal_log_jacobian(model, with_sigma):
-    """(d phi / d theta) c from the weighted basis equals the nonlinear
-    columns of the full-model log Jacobian (to 1e-12 of the largest entry
-    of the row: near a zero of the rabi cosine both paths lose their
-    relative accuracy). With parameters on and above the cap of
-    `_positive` it is non-finite exactly where that is; the finite values
-    there are not compared, since neither path resolves a rabi phase of
-    ~1e299 rad or keeps tau / a2**2 from underflowing."""
+    """(d phi / d a) c from the weighted basis, times a (the diag(a) the
+    fitter applies to its normal matrix), equals the nonlinear columns of
+    the closed-form Jacobian in theta = log(a) (to BASIS_RTOL of the largest entry of the row). With
+    parameters on and above the cap of `_positive` it is non-finite
+    exactly where that is; the finite values there are not compared,
+    since neither form resolves a rabi phase of ~1e299 rad or keeps
+    tau / a2**2 from underflowing."""
     rng = np.random.default_rng([31, N_TAU, with_sigma, len(model)])
     n = 64
-    span = {"rabi": 4e-6, "t1": 5e-3, "t2": 160e-6}[model]
-    tau = np.linspace(0.0, span, N_TAU)  # tau = 0 included
-    q = len(pulse_fit._NONLINEAR[model])
+    tau = np.linspace(0.0, SPAN[model], N_TAU)  # tau = 0 included
+    nonlinear = list(pulse_fit._NONLINEAR[model])
+    q = len(nonlinear)
     k = MODEL_ARITY[model] - q
     theta = nonlinear_rows(model, rng, n)
     capped = theta[:3 * q].copy()  # each parameter on the cap, then all
@@ -438,24 +601,21 @@ def test_basis_derivatives_equal_log_jacobian(model, with_sigma):
     theta = np.vstack([theta, capped])
     coef = rng.normal(0.0, 1.0, (len(theta), k))
     sigma = (np.exp(rng.normal(-4.0, 0.5, (len(theta), N_TAU)))
-             if with_sigma else None)
+             if with_sigma else np.ones((len(theta), N_TAU)))
     nl = pulse_fit._positive(theta)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        phi = pulse_fit._basis(model, tau, nl)
-        if with_sigma:
-            phi /= sigma[:, :, None]
-        got = pulse_fit._basis_derivatives(model, tau, nl, phi, coef)
-        want = pulse_fit._log_jacobian(
-            model, tau, pulse_fit._full_params(model, nl, coef), sigma
-        )[..., list(pulse_fit._NONLINEAR[model])]
+        phi = pulse_fit._basis(model, tau, nl) / sigma[:, :, None]
+        got = pulse_fit._basis_derivatives(model, tau, nl, phi, coef) \
+            * nl[:, None, :]
+        want = closed_form_model_jacobian(
+            model, tau, pulse_fit._full_params(model, nl, coef)
+        )[..., nonlinear] / sigma[:, :, None] * nl[:, None, :]
     finite = np.isfinite(want)
     assert np.array_equal(np.isfinite(got), finite)
     if model == "t2":  # u = inf where tau > a2 at a3 on the cap
         assert not finite[n:].all()
     assert finite[:n].all()
-    got, want = got[:n], want[:n]
-    scale = np.max(np.abs(want), axis=1, keepdims=True)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    assert_within_row_scale(got[:n], want[:n])
 
 
 def test_singular_rows_get_no_step():
@@ -818,7 +978,7 @@ def pixel_files(draw):
     """(file texts, float columns per file) for a manifest that mixes two
     tau grids, files with and without a sigma column, float() spellings,
     CRLF and CR line ends, and blank lines between rows."""
-    grids = [sorted(draw(st.sets(st.integers(-50, 10**6), min_size=1,
+    grids = [sorted(draw(st.sets(st.integers(0, 10**6), min_size=1,
                                  max_size=9))) for _ in range(2)]
     values = st.one_of(
         st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -890,6 +1050,7 @@ GOOD = "tau_s,signal\n0,1\n1,0.5\n2,0.25\n"
     ("time,counts\n0,1\n", "header"),
     ("tau_s,signal,extra\n0,1,2\n", "header"),
     ("tau_s,signal\n1,1\n0,2\n", "strictly increasing"),
+    ("tau_s,signal\n-1e-5,1\n0,2\n1,3\n", "non-negative"),
     ("tau_s,signal\n0,1\n1,inf\n", "finite"),
     ("tau_s,signal,sigma\n0,1,1\n1,2,0\n", "sigma"),
 ])

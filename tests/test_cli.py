@@ -1,6 +1,8 @@
 import json
 import pathlib
 import shutil
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,19 @@ def config_dir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_showing_warnings(*argv):
+    """run(*argv) with every warning printed to stderr, as a run from the
+    shell prints it (pytest records warnings instead)."""
+    def show(message, category, filename, lineno, file=None, line=None):
+        sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                                lineno, line))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = show
+        return run(*argv)
 
 
 def test_usage_errors():
@@ -213,10 +228,12 @@ def test_absurd_magnitude_writes_nothing(config_dir, tmp_path, capsys,
     for command in (["design"], ["sweep", "--variable", "rayleigh"],
                     ["sweep", "--variable", "detection-proportion"]):
         out = tmp_path / "out"
-        code = run("--out", out, *command, "--config", cfg)
+        code = run_showing_warnings("--out", out, *command, "--config", cfg)
         assert code in (2, 3), command
         assert not out.exists() or not any(out.iterdir()), command
-    assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, (command, err)  # the error alone
+        assert "Traceback" not in err
     code = run("--out", tmp_path / "out", "design", "--config", cfg)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -445,20 +462,39 @@ def test_malformed_manifest_is_input_error(tmp_path, capsys, edit):
     lambda t: {**t, "tau": {**t["tau"], "points": 3}},
     lambda t: {**{k: v for k, v in t.items() if k != "tau"},
                "tau_s": [0.0, 1e-6, 2e-6]},
+    lambda t: {**t, "tau": {**t["tau"], "start_s": -1e-5}},
+    lambda t: {**{k: v for k, v in t.items() if k != "tau"},
+               "tau_s": [0.0, 2e-6, 1e-6, 3e-6, 4e-6]},
 ], ids=["no-nx", "no-ny", "no-params", "no-tau", "no-stop", "list-nx",
         "object-param", "short-origin", "not-object", "zero-nx",
         "fractional-nx", "negative-ny", "zero-points", "fractional-points",
-        "empty-tau", "short-points", "short-tau-list"])
+        "empty-tau", "short-points", "short-tau-list", "negative-tau",
+        "unordered-tau-list"])
 def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
              "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}}
     path = tmp_path / "truth.json"
     path.write_text(json.dumps(edit(truth)))
     out = tmp_path / "out"
-    code = run("--out", out, "simulate", "--model", "t2", "--truth", path)
+    code = run_showing_warnings("--out", out, "simulate", "--model", "t2",
+                                "--truth", path)
     err = capsys.readouterr().err
     assert code == 2
     assert "Traceback" not in err and "truth" in err
+    assert "Warning" not in err and len(err.splitlines()) == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_negative_delay_in_pixel_file_is_input_error(tmp_path, capsys):
+    data = write_manifest(tmp_path, lambda m: m)
+    pixel = data / "pixel_000_001.csv"
+    lines = pixel.read_text().splitlines()
+    lines[1] = "-" + lines[1]  # the first delay, still below the second
+    pixel.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert run("--out", out, "map", "--model", "t2", "--manifest", data) == 2
+    err = capsys.readouterr().err
+    assert f"{pixel}: tau must be non-negative" in err
     assert not out.exists() or not any(out.iterdir())
 
 

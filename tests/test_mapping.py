@@ -123,7 +123,7 @@ def test_constant_pixel_marked_missing():
     assert np.sum(np.isfinite(pixel_map.values)) == 3
 
 
-def test_missing_pixels_counted_by_reason(tmp_path):
+def test_missing_pixels_counted_by_reason(tmp_path, monkeypatch):
     params = t2_truth_field(2, 3)
     params[1, 2, 1] = 60e-6  # the pixel whose derived value fails
     data = mapping.synth_map(params, "t2", t2_tau(), 0.001, 0)
@@ -138,8 +138,9 @@ def test_missing_pixels_counted_by_reason(tmp_path):
             raise ValueError("out of range")
         return float(result.params[1])
 
+    monkeypatch.setitem(mapping._DERIVE, "t2", ("t2", "s", derive))
     pixel_map = mapping.assemble(edited(data, signal=signal), "t2",
-                                 derive=derive, pitch=PITCH)
+                                 pitch=PITCH)
     assert pixel_map.failures == {"unidentifiable": 1, "not_converged": 1,
                                   "derive_failed": 1}
     assert np.isnan(pixel_map.values[0, 0]) and np.isnan(pixel_map.values[0, 1])
@@ -157,24 +158,24 @@ def test_missing_pixels_counted_by_reason(tmp_path):
 
 def test_stats_basic():
     values = np.array([[1.0, 1.0], [1.0, 1.0]])
-    pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "custom", "s")
+    pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "t2", "s")
     s = mapping.stats(pm)
     assert (s.mean, s.std) == (1.0, 0.0)
     pm2 = mapping.PixelMap((0, 0), PITCH, 2, 1, np.array([[0.0, 2.0]]),
-                           "custom", "s")
+                           "t2", "s")
     s2 = mapping.stats(pm2)
     assert (s2.mean, s2.std, s2.min, s2.max) == (1.0, 1.0, 0.0, 2.0)
 
 
 def test_stats_excludes_missing_and_counts():
     values = np.array([[1.0, np.nan], [3.0, np.nan]])
-    pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "custom", "s")
+    pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "t2", "s")
     s = mapping.stats(pm)
     assert s.mean == 2.0
     assert s.n_valid == 2
     assert s.n_missing == 2
     empty = mapping.PixelMap((0, 0), PITCH, 1, 1,
-                             np.array([[np.nan]]), "custom", "s")
+                             np.array([[np.nan]]), "t2", "s")
     with pytest.raises(ValueError, match="valid"):
         mapping.stats(empty)
 
@@ -182,9 +183,9 @@ def test_stats_excludes_missing_and_counts():
 def test_stats_scaling():
     rng = np.random.default_rng(0)
     values = rng.uniform(1, 2, (4, 5))
-    pm = mapping.PixelMap((0, 0), PITCH, 5, 4, values, "custom", "s")
+    pm = mapping.PixelMap((0, 0), PITCH, 5, 4, values, "t2", "s")
     pm_scaled = mapping.PixelMap((0, 0), PITCH, 5, 4, 3.0 * values,
-                                 "custom", "s")
+                                 "t2", "s")
     a, b = mapping.stats(pm), mapping.stats(pm_scaled)
     assert b.mean == pytest.approx(3 * a.mean, rel=1e-15)
     assert b.std == pytest.approx(3 * a.std, rel=1e-12)

@@ -34,6 +34,9 @@ def test_timeseries_validation():
     with pytest.raises(ValueError):
         TimeSeries(np.array([0.0, 1.0, 2.0]), np.zeros(3),
                    sigma=np.array([1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        TimeSeries(np.array([-1e-9, 0.0, 1.0]), np.zeros(3))
+    assert len(TimeSeries(np.array([-0.0, 1.0]), np.zeros(2))) == 2
 
 
 def test_exact_model_fixed_point():
