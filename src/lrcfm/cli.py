@@ -9,6 +9,7 @@ such as a full disk or an --out that names a file), 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -20,7 +21,7 @@ import numpy as np
 from . import (beam_optics, collection, designer, mapping, nv_rates,
                pulse_fit, traces)
 from .config import ConfigError, load_config
-from .io import atomic_write
+from .io import cells, write_csv, write_json
 from .units import parse_quantity
 
 EXIT_OK = 0
@@ -116,8 +117,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    # first: np.linalg.LinAlgError is a ValueError subclass
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    # first: np.linalg.LinAlgError is a ValueError subclass; MemoryError:
+    # a grid too large to allocate, as a tiny pixel pitch asks for
+    except (ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:  # ConfigError, UnitError included
@@ -130,8 +132,8 @@ _NUMBER = (int, float)
 
 def _entry(obj, key: str, where: str, kind, default=None):
     """obj[key] of JSON type `kind` (`default` when given and the key is
-    absent). A missing key or a value of another type is an input error,
-    not a KeyError or TypeError."""
+    absent). A missing key, a value of another type or a non-finite number
+    is an input error, not a KeyError or TypeError."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object")
     if key not in obj and default is not None:
@@ -141,6 +143,8 @@ def _entry(obj, key: str, where: str, kind, default=None):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, kind):
         raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
     return value
 
 
@@ -234,6 +238,7 @@ def cmd_design(args) -> int:
             cfg.fiber_core_diameter / 2.0, cfg.fiber_magnification,
             choice.waist_radius)
     rows = designer.sweep_rows(opt.grid, opt.merit)
+    columns = [rows[name] for name in designer.SWEEP_HEADER]
     conditions = nv_rates.condition_numbers(
         spec.context.rates, spec.context.pump,
         opt.merit.power_density).tolist()
@@ -241,13 +246,12 @@ def cmd_design(args) -> int:
     report["steady_state_condition_max"] = max(conditions)
     report["golden_evaluations"] = opt.golden_evaluations
     _check_design_output(
-        opt.detected_signal, [row.astuple() for row in rows],
+        opt.detected_signal, *columns,
         [v for v in (*report.values(), *report["recommended_lens"].values())
          if isinstance(v, float)])
     _check_interior(opt)
-    designer.write_sweep_csv(rows, out / "sweep.csv")
-    atomic_write(out / "design_report.json",
-                 json.dumps(report, indent=2) + "\n")
+    write_csv(out / "sweep.csv", designer.SWEEP_HEADER, map(cells, columns))
+    write_json(out / "design_report.json", report)
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "
           f"(2 z_R = {2 * opt.rayleigh_length * 1e6:.1f} um), "
           f"F* = {focal * 1e3:.2f} mm, "
@@ -267,15 +271,14 @@ def cmd_sweep(args) -> int:
         spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
                                   cfg.sweep_context())
         opt = designer.optimal_rayleigh(spec)
-        table = designer.cfm_comparison(spec, cfm_focal,
-                                        np.geomspace(lo, hi, n), opt)
+        proportion, ratio = np.array(designer.cfm_comparison(
+            spec, cfm_focal, np.geomspace(lo, hi, n), opt)).T
         # the ratio is positive exactly when the optimum's signal is
-        _check_design_output(min(ratio for _, ratio in table), table)
+        _check_design_output(float(ratio.min()), proportion, ratio)
         _check_interior(opt)
-        lines = ["proportion,lrcfm_cfm_ratio"]
-        lines += [f"{repr(float(p))},{repr(float(r))}" for p, r in table]
         path = out / "cfm_comparison.csv"
-        atomic_write(path, "\n".join(lines) + "\n")
+        write_csv(path, ("proportion", "lrcfm_cfm_ratio"),
+                  (cells(proportion), cells(ratio)))
         print(f"wrote {path}")
         return EXIT_OK
     variable = {"rayleigh": "rayleigh_length", "waist": "waist_radius"}[
@@ -286,10 +289,10 @@ def cmd_sweep(args) -> int:
     grid = designer.default_grid(lo, hi, n)
     spec = designer.SweepSpec(variable, grid, cfg.sweep_context())
     rows = designer.sweep(spec)
-    _check_design_output(max(row.detected_signal for row in rows),
-                         [row.astuple() for row in rows])
+    columns = [rows[name] for name in designer.SWEEP_HEADER]
+    _check_design_output(float(rows["detected_signal"].max()), *columns)
     path = out / "sweep.csv"
-    designer.write_sweep_csv(rows, path)
+    write_csv(path, designer.SWEEP_HEADER, map(cells, columns))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -301,8 +304,7 @@ def cmd_fit(args) -> int:
         init = np.array([float(v) for v in args.init.split(",")])
     result = pulse_fit.fit(args.model, data, init=init)
     out = _out_dir(args)
-    path = out / f"fit_{args.model}.json"
-    pulse_fit.write_fit_json(result, path)
+    write_json(out / f"fit_{args.model}.json", dataclasses.asdict(result))
     params = ", ".join(f"a{i + 1}={p:.6g}"
                        for i, p in enumerate(result.params))
     print(f"{args.model}: converged={result.converged} "
@@ -340,9 +342,8 @@ def cmd_map(args) -> int:
         return EXIT_NUMERICAL
     out = _out_dir(args)
     mapping.write_map_csv(pixel_map, out / "map.csv")
-    mapping.write_stats_json(map_stats, out / "stats.json")
-    map_json = json.dumps(mapping.map_to_json_dict(pixel_map), indent=2)
-    atomic_write(out / "map.json", map_json + "\n")
+    write_json(out / "stats.json", dataclasses.asdict(map_stats))
+    write_json(out / "map.json", mapping.map_to_json_dict(pixel_map))
     print(f"map {pixel_map.nx}x{pixel_map.ny}: mean={map_stats.mean:.6g} "
           f"{pixel_map.units}, valid={map_stats.n_valid}, "
           f"missing={map_stats.n_missing}")
@@ -386,8 +387,14 @@ def cmd_simulate(args) -> int:
         if origin.shape != (2,):
             raise ConfigError(f"{where}: 'origin_um' must be two numbers")
         origin = tuple(1e-6 * float(v) for v in origin)
-    pitch = 1e-6 * float(_entry(truth, "pitch_um", where, _NUMBER,
-                                default=50.0))
+    pitch_um = _entry(truth, "pitch_um", where, _NUMBER, default=50.0)
+    pitch = 1e-6 * float(pitch_um)
+    with np.errstate(over="ignore"):  # the pitch and corners as written
+        written = 1e6 * np.array([pitch, *origin, *(
+            np.array(origin) + pitch * np.array([nx - 1, ny - 1]))])
+    if not (pitch > 0 and np.isfinite(written).all()):
+        raise ConfigError(f"{where}: 'pitch_um' = {pitch_um!r} must be "
+                          "positive and keep the pixel coordinates finite")
     data = mapping.synth_map(params, args.model, tau, args.noise, args.seed,
                              origin=origin, pitch=pitch)
     out = _out_dir(args)
@@ -400,7 +407,7 @@ def cmd_simulate(args) -> int:
     manifest = {"model": args.model, "pitch_um": pitch * 1e6,
                 "noise_sigma": args.noise, "seed": args.seed,
                 "pixels": pixels}
-    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+    write_json(out / "manifest.json", manifest)
     print(f"wrote {len(pixels)} pixel files to {out}")
     return EXIT_OK
 

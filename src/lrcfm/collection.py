@@ -63,19 +63,15 @@ class FigureOfMerit:
     i_cw: float
     polarization: float
     detection_rate: float
-    detection_proportion: float
     detected_signal: float
 
 
 def figure_of_merit(volume, power_density, detection, rates: NvRateSet,
-                    pump: PumpModel, proportion: float = 1.0,
-                    density: float = 1.0) -> FigureOfMerit:
-    """Detected signal = volume * I_cw * P * detection rate * detection
-    proportion * center density, with the rate model evaluated at the mean
-    power density. Elementwise on arrays of volume, power density and
-    detection rate; the steady states are one batched solve."""
-    if not 0.0 < proportion <= 1.0:
-        raise ValueError(f"detection proportion must be in (0, 1], got {proportion}")
+                    pump: PumpModel, density: float = 1.0) -> FigureOfMerit:
+    """Detected signal = volume * I_cw * P * detection rate * center
+    density, with the rate model evaluated at the mean power density.
+    Elementwise on arrays of volume, power density and detection rate; the
+    steady states are one batched solve."""
     if density <= 0:
         raise ValueError(f"center density must be positive, got {density}")
     ss = steady_states(rates, pump, power_density)
@@ -87,7 +83,5 @@ def figure_of_merit(volume, power_density, detection, rates: NvRateSet,
         i_cw=i_cw,
         polarization=pol,
         detection_rate=detection,
-        detection_proportion=proportion,
-        detected_signal=volume * i_cw * pol * detection * proportion * density,
+        detected_signal=volume * i_cw * pol * detection * density,
     )
-

@@ -42,26 +42,24 @@ class RunConfig:
     sweep_max: float
     output: Path | None
 
-    def sweep_context(self, lens_radius: float | None = None
-                      ) -> designer.SweepContext:
-        radius = lens_radius if lens_radius is not None else self.lens_radius
-        if radius is None:
-            raise ConfigError("no lens.radius configured and none given")
+    def sweep_context(self) -> designer.SweepContext:
+        if self.lens_radius is None:
+            raise ConfigError("no lens.radius configured")
         return designer.SweepContext(
             wavelength=self.wavelength,
             laser_power=self.laser_power,
             incident_beam_diameter=self.incident_beam_diameter,
             sample_thickness=self.sample_thickness,
-            lens_radius=radius,
+            lens_radius=self.lens_radius,
             rates=self.rates,
             pump=self.pump,
             volume_model=self.volume_model,
             density=self.density,
         )
 
-    def sweep_grid(self, points: int | None = None) -> tuple[float, ...]:
+    def sweep_grid(self) -> tuple[float, ...]:
         return designer.default_grid(self.sweep_min, self.sweep_max,
-                                     points or self.sweep_points)
+                                     self.sweep_points)
 
 
 _KNOWN_KEYS = {

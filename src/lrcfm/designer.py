@@ -17,6 +17,9 @@ core is elementwise, so the search is the same as one point per call.
 The core computes no steady-state condition numbers: a caller that
 reports them asks `nv_rates.condition_numbers` at the power densities
 the figure of merit carries.
+
+A sweep's result is one table, the NumPy record array with the sweep.csv
+columns that `sweep_rows` builds from the core's arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from . import beam_optics, collection
-from .io import atomic_write
 from .nv_rates import NvRateSet, PumpModel
 
 SWEEP_HEADER = ("variable", "volume_m3", "icw", "polarization", "product",
@@ -71,23 +73,6 @@ class SweepSpec:
             raise ValueError("sweep grid must be non-empty and positive")
         if grid.size > 1 and np.any(np.diff(grid) <= 0):
             raise ValueError("sweep grid must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: the sweep.csv columns."""
-
-    variable: float
-    volume_m3: float
-    icw: float
-    polarization: float
-    product: float
-    detection_rate: float
-    detected_signal: float
-
-    def astuple(self):
-        return (self.variable, self.volume_m3, self.icw, self.polarization,
-                self.product, self.detection_rate, self.detected_signal)
 
 
 @dataclass(frozen=True)
@@ -140,20 +125,20 @@ def _at_rayleigh(zr, ctx: SweepContext) -> collection.FigureOfMerit:
         zr, ctx.incident_beam_diameter, ctx.wavelength), ctx.lens_radius, ctx)
 
 
-def sweep_rows(variable, fom: collection.FigureOfMerit) -> list[SweepRow]:
-    """One row per entry of the arrays of fom, labelled with the matching
-    entry of variable."""
+def sweep_rows(variable, fom: collection.FigureOfMerit) -> np.recarray:
+    """The sweep table: a record array of the SWEEP_HEADER fields with one
+    record per entry of fom's arrays, labelled by the entry of variable."""
     product = fom.detection_volume * fom.i_cw * fom.polarization
-    columns = (variable, fom.detection_volume, fom.i_cw, fom.polarization,
-               product, fom.detection_rate, fom.detected_signal)
-    return [SweepRow(*values)
-            for values in zip(*(np.asarray(c).tolist() for c in columns))]
+    return np.rec.fromarrays(
+        [np.asarray(c, dtype=float) for c in (
+            variable, fom.detection_volume, fom.i_cw, fom.polarization,
+            product, fom.detection_rate, fom.detected_signal)],
+        names=SWEEP_HEADER)
 
 
-def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> SweepRow:
-    """Figure-of-merit factors for one Rayleigh length."""
-    (row,) = sweep_rows([zr], _at_rayleigh(np.array([zr], dtype=float), ctx))
-    return row
+def evaluate_at_rayleigh(zr: float, ctx: SweepContext) -> np.record:
+    """The sweep-table record of one Rayleigh length."""
+    return sweep_rows([zr], _at_rayleigh(np.array([zr], dtype=float), ctx))[0]
 
 
 def _sweep_merit(spec: SweepSpec):
@@ -175,16 +160,16 @@ def _sweep_merit(spec: SweepSpec):
         raise
 
 
-def sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the figure of merit on the grid, one row per point, in one
-    call of the array core."""
+def sweep(spec: SweepSpec) -> np.recarray:
+    """Evaluate the figure of merit on the grid in one call of the array
+    core: the sweep table (`sweep_rows`), one record per point."""
     return sweep_rows(*_sweep_merit(spec))
 
 
 @dataclass(frozen=True)
 class OptimalResult:
     """The optimum Rayleigh length, and the grid and figure of merit of
-    the sweep it was found on (`sweep_rows` makes them rows)."""
+    the sweep it was found on (`sweep_rows` makes them a table)."""
 
     rayleigh_length: float
     detected_signal: float
@@ -337,7 +322,7 @@ def cfm_comparison(spec: SweepSpec, cfm_focal: float, proportion_grid,
     if cfm_focal <= 0:
         raise ValueError("CFM focal length must be positive")
     proportions = np.asarray(proportion_grid, dtype=float)
-    if np.any(proportions <= 0) or np.any(proportions > 1):
+    if not ((proportions > 0) & (proportions <= 1)).all():
         raise ValueError("proportions must lie in (0, 1]")
     ctx = spec.context
     if optimum is None:
@@ -357,14 +342,6 @@ def ratio_threshold(spec: SweepSpec, cfm_focal: float,
     smaller proportions exceed it)."""
     (_, ratio_at_one), = cfm_comparison(spec, cfm_focal, [1.0])
     return min(1.0, ratio_at_one / target)
-
-
-def write_sweep_csv(rows, path) -> None:
-    """Write sweep rows with the fixed header, full round-trip precision."""
-    lines = [",".join(SWEEP_HEADER)]
-    lines += [",".join(map(repr, values)) for values in
-              np.array([row.astuple() for row in rows], dtype=float).tolist()]
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def load_lens_catalog(path) -> LensCatalog:

@@ -1,9 +1,9 @@
 """Per-pixel fitting into spatial maps, map statistics, and a seeded
 synthetic multi-pixel dataset generator used as the test oracle.
 
-A map's pixels are one `Dataset`: their coordinates and their traces as
-`Traces` stacks, as `cmd_map` reads them from pixel files and as
-`synth_map` generates them. `assemble` fits each stack as one batch.
+A map's pixels are one `Dataset` of coordinates and `Traces` stacks, as
+`cmd_map` reads them and `synth_map` makes them; `assemble` fits each
+stack as one batch, and `write_map_csv` writes map.csv by columns.
 
 Pixels that fail (unidentifiable data, a fit that did not converge, or a
 derived value that cannot be computed) are recorded as missing (NaN) and
@@ -12,14 +12,12 @@ excluded from statistics, never imputed; the map counts each reason.
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pulse_fit
-from .io import atomic_write
+from .io import cells, write_csv
 from .traces import Traces
 
 # per-model map quantity, its units, and its value from a fit: rabi maps
@@ -61,10 +59,6 @@ class PixelMap:
         if self.quantity not in QUANTITIES:
             raise ValueError(f"unknown quantity {self.quantity!r}")
 
-    def coordinates(self, ix: int, iy: int) -> tuple[float, float]:
-        return (self.origin[0] + ix * self.pitch,
-                self.origin[1] + iy * self.pitch)
-
 
 @dataclass(frozen=True)
 class MapStats:
@@ -77,14 +71,6 @@ class MapStats:
     n_unidentifiable: int = 0
     n_not_converged: int = 0
     n_derive_failed: int = 0
-
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "std": self.std, "min": self.min,
-                "max": self.max, "n_valid": self.n_valid,
-                "n_missing": self.n_missing,
-                "n_unidentifiable": self.n_unidentifiable,
-                "n_not_converged": self.n_not_converged,
-                "n_derive_failed": self.n_derive_failed}
 
 
 @dataclass(frozen=True)
@@ -104,10 +90,11 @@ def assemble(data: Dataset, model: str,
     time for rabi, a2 for t1 and t2) on a regular grid.
 
     Coordinates must snap to a common grid (tolerance pitch/100); the
-    pitch is inferred from coordinate spacing when not given. Each stack
-    of traces that share a tau grid is fitted as one batch
-    (`pulse_fit.fit_many`). Failed pixels stay missing, and are counted
-    per reason in FAILURES.
+    pitch is inferred from coordinate spacing when not given, and must be
+    positive and finite (ValueError). A grid too large to index is an
+    ArithmeticError. Each stack of traces that share a tau grid is fitted
+    as one batch (`pulse_fit.fit_many`). Failed pixels stay missing, and
+    are counted per reason in FAILURES.
     """
     xs, ys = data.x, data.y
     if not xs.size:
@@ -115,9 +102,17 @@ def assemble(data: Dataset, model: str,
     quantity, units, derive = _DERIVE[model]
     if pitch is None:
         pitch = _infer_pitch(xs, ys)
+    if not (pitch > 0 and np.isfinite(pitch)):
+        raise ValueError(f"pixel pitch must be positive and finite, got "
+                         f"{pitch:g} m")
     x0, y0 = float(np.min(xs)), float(np.min(ys))
-    nx = int(round((np.max(xs) - x0) / pitch)) + 1
-    ny = int(round((np.max(ys) - y0) / pitch)) + 1
+    with np.errstate(over="ignore"):  # the flat cell index is an int64
+        shape = np.round(np.subtract((xs.max(), ys.max()), (x0, y0)) / pitch)
+        indexable = np.prod(shape + 1) < 2.0 ** 63
+    if not indexable:
+        raise ArithmeticError(f"a pixel pitch of {pitch:g} m makes a grid "
+                              "too large to index")
+    nx, ny = map(int, shape + 1)
     cell = _cells(xs, ys, x0, y0, pitch, nx)
     values = np.full(ny * nx, np.nan)
     failures = dict.fromkeys(FAILURES, 0)
@@ -219,32 +214,20 @@ def synth_map(truth_params: np.ndarray, model: str, tau: np.ndarray,
 
 
 def write_map_csv(pixel_map: PixelMap, path) -> None:
-    """Map CSV: x_um,y_um,value,units with one row per pixel; missing
-    pixels get an empty value field."""
-    lines = ["x_um,y_um,value,units"]
-    for iy in range(pixel_map.ny):
-        for ix in range(pixel_map.nx):
-            x, y = pixel_map.coordinates(ix, iy)
-            v = pixel_map.values[iy, ix]
-            value = repr(float(v)) if math.isfinite(v) else ""
-            lines.append(f"{repr(x * 1e6)},{repr(y * 1e6)},{value},"
-                         f"{pixel_map.units}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    """Map CSV: x_um,y_um,value,units with one row per pixel, row
+    iy * nx + ix for pixel (ix, iy); a missing pixel has an empty value."""
+    (x0, y0), pitch = pixel_map.origin, pixel_map.pitch
+    iy, ix = np.divmod(np.arange(pixel_map.ny * pixel_map.nx), pixel_map.nx)
+    write_csv(path, ("x_um", "y_um", "value", "units"), (
+        cells((x0 + ix * pitch) * 1e6), cells((y0 + iy * pitch) * 1e6),
+        cells(pixel_map.values.ravel()), [pixel_map.units] * ix.size))
 
 
 def map_to_json_dict(pixel_map: PixelMap) -> dict:
-    values = [[None if not math.isfinite(v) else float(v) for v in row]
-              for row in pixel_map.values]
-    return {
-        "origin_m": [pixel_map.origin[0], pixel_map.origin[1]],
-        "pitch_m": pixel_map.pitch,
-        "nx": pixel_map.nx,
-        "ny": pixel_map.ny,
-        "quantity": pixel_map.quantity,
-        "units": pixel_map.units,
-        "values": values,
-    }
-
-
-def write_stats_json(map_stats: MapStats, path) -> None:
-    atomic_write(path, json.dumps(map_stats.to_json_dict(), indent=2) + "\n")
+    """map.json: the grid, and its values with None for missing pixels."""
+    values = pixel_map.values.astype(object)
+    values[np.isnan(pixel_map.values)] = None
+    return {"origin_m": list(pixel_map.origin), "pitch_m": pixel_map.pitch,
+            "nx": pixel_map.nx, "ny": pixel_map.ny,
+            "quantity": pixel_map.quantity, "units": pixel_map.units,
+            "values": values}

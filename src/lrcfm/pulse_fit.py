@@ -49,13 +49,11 @@ is folded back to the in-band frequency in [0, 1/(2 dtau)].
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import atomic_write
 from .traces import TimeSeries, Traces
 
 MODEL_ARITY = {"rabi": 5, "t1": 3, "t2": 3}
@@ -86,16 +84,6 @@ class FitResult:
     residual_rms: float
     converged: bool
     iterations: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": [float(p) for p in self.params],
-            "covariance": [[float(c) for c in row] for row in self.covariance],
-            "residual_rms": float(self.residual_rms),
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-        }
 
 
 def model_eval(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -155,14 +143,13 @@ def _stretched_log(tau, a2, u):
                         0.0)
 
 
-def fit(model: str, data: TimeSeries, init=None,
-        step_tol: float = STEP_TOLERANCE) -> FitResult:
+def fit(model: str, data: TimeSeries, init=None) -> FitResult:
     """Least-squares fit of `model` to `data`.
 
     Minimizes sum(((f(tau; a) - y) / sigma)^2) by variable projection:
     adaptive Marquardt damping on the nonlinear parameters, the linear
     ones solved exactly at every step. Convergence: relative step of the
-    nonlinear parameters < step_tol (default 1e-8) within 200 iterations;
+    nonlinear parameters < STEP_TOLERANCE (1e-8) within 200 iterations;
     a non-converged fit is returned with converged=False rather than
     raised. Of `init` only the nonlinear entries are used (a2, and a3 for
     rabi and t2). A batch of one trace: the result is that of `fit_many`.
@@ -171,7 +158,7 @@ def fit(model: str, data: TimeSeries, init=None,
     if not len(traces):
         raise UnidentifiableDataError(
             f"constant signal cannot constrain a {model} model")
-    return _fit_stack(model, traces, theta, step_tol)[0]
+    return _fit_stack(model, traces, theta)[0]
 
 
 def fit_many(model: str, stacks: list[Traces]) -> list[FitResult | None]:
@@ -187,8 +174,8 @@ def fit_many(model: str, stacks: list[Traces]) -> list[FitResult | None]:
     for traces in stacks:
         traces, theta = _starts(model, traces)
         if len(traces):
-            for row, result in zip(traces.rows, _fit_stack(
-                    model, traces, theta, STEP_TOLERANCE)):
+            for row, result in zip(traces.rows,
+                                   _fit_stack(model, traces, theta)):
                 results[row] = result
     return results
 
@@ -230,13 +217,13 @@ def _starts(model: str, traces: Traces, init=None):
     return traces, np.log(a[:, nonlinear])
 
 
-def _fit_stack(model, traces, theta, step_tol) -> list[FitResult]:
+def _fit_stack(model, traces, theta) -> list[FitResult]:
     """Fit each trace of a stack from its start theta (log nonlinear
     parameters); the covariance comes from the full-parameter Jacobian
     at the solution."""
     tau, signal, sigma = traces.tau, traces.signal, traces.sigma
     theta, coef, cost, converged, iterations = _variable_projection(
-        model, tau, signal, sigma, theta, step_tol)
+        model, tau, signal, sigma, theta)
     a = _full_params(model, _positive(theta), coef)
     jtj = np.empty((len(a), a.shape[1], a.shape[1]))
     rms = np.empty(len(a))
@@ -336,7 +323,7 @@ def _full_params(model, nl, c):
     return np.column_stack([c, nl])
 
 
-def _variable_projection(model, tau, y, sigma, theta, step_tol):
+def _variable_projection(model, tau, y, sigma, theta):
     """Damped Gauss-Newton on the nonlinear parameters of a stack of rows:
     row m fits `model` to trace y[m] (errors sigma[m], or ones when sigma
     is None) from theta[m], the logarithms of its nonlinear parameters.
@@ -353,9 +340,9 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
     Every row runs its own loop: per iteration one Jacobian, then trial
     steps with damping lam (start 1e-3, /10 on accept, x10 on reject or
     on a singular system) until a finite cost no larger than the current
-    one is found; a row stops on a relative step of theta below step_tol
-    (converged), after 50 rejections in one iteration, or after
-    MAX_ITERATIONS iterations. Each round makes one trial step for every
+    one is found; a row stops on a relative step of theta below
+    STEP_TOLERANCE (converged), after 50 rejections in one iteration, or
+    after MAX_ITERATIONS iterations. Each round makes one trial step for every
     row in flight; at most _LANES rows are in flight, and finished rows
     are replaced by waiting ones. A row's arithmetic does not depend on
     the other rows.
@@ -436,7 +423,7 @@ def _variable_projection(model, tau, y, sigma, theta, step_tol):
             lam[rows] = np.maximum(lam[rows] / 10.0, 1e-12)
             converged[rows] = np.max(
                 np.abs(step[accept]) / (1.0 + np.abs(theta[rows])),
-                axis=1) < step_tol
+                axis=1) < STEP_TOLERANCE
             finished[rows] = converged[rows] | (iterations[rows] >= MAX_ITERATIONS)
             going = accept.copy()
             going[accept] = ~finished[rows]
@@ -597,7 +584,3 @@ def pi_time(rabi_result: FitResult) -> float:
     if a3 <= 0:
         raise ValueError(f"rabi frequency must be positive, got {a3}")
     return 1.0 / (2.0 * a3)
-
-
-def write_fit_json(result: FitResult, path) -> None:
-    atomic_write(path, json.dumps(result.to_json_dict(), indent=2) + "\n")

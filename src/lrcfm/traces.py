@@ -14,8 +14,8 @@ and non-ASCII digits included), so a file reads the same alone or among
 others. tau must strictly increase and be non-negative (-0 counts as 0),
 tau and the readings must be finite, and sigma must be positive.
 `read_traces` converts each distinct tau column once and the readings one
-file at a time; `write_traces` writes every value as its repr(), which
-reads back to the same float, and formats a shared tau column once.
+file at a time; `write_traces` writes each value as its repr() (`io.cells`,
+which reads back as the same float) and formats a shared tau column once.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .io import atomic_write
+from .io import cells, write_csv
 
 
 def check_tau(tau) -> None:
@@ -185,11 +185,8 @@ def write_traces(paths, traces: Traces) -> None:
     column is formatted once."""
     if len(paths) != len(traces):
         raise ValueError(f"{len(traces)} traces for {len(paths)} paths")
-    header = "tau_s,signal" if traces.sigma is None else "tau_s,signal,sigma"
-    tau = [*map(repr, traces.tau.tolist())]
+    readings = [r for r in (traces.signal, traces.sigma) if r is not None]
+    header = ("tau_s", "signal", "sigma")[:1 + len(readings)]
+    tau = cells(traces.tau)
     for i, path in enumerate(paths):
-        columns = [tau, map(repr, traces.signal[i].tolist())]
-        if traces.sigma is not None:
-            columns.append(map(repr, traces.sigma[i].tolist()))
-        atomic_write(path, "\n".join([header, *map(",".join, zip(*columns))])
-                     + "\n")
+        write_csv(path, header, [tau, *(cells(r[i]) for r in readings)])

@@ -815,7 +815,7 @@ def former_fit_many(model, series):
                               else np.ones(len(data)) for data in group])
         theta, coef, cost, converged, iterations = \
             pulse_fit._variable_projection(model, tau, signal, sigma,
-                                           np.stack(starts), STEP_TOLERANCE)
+                                           np.stack(starts))
         a = pulse_fit._full_params(model, pulse_fit._positive(theta), coef)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jb = pulse_fit._log_jacobian(model, tau, a, sigma)

@@ -215,6 +215,19 @@ def test_sweep_detection_proportion(config_dir, tmp_path):
     assert ratios == sorted(ratios, reverse=True)
 
 
+@pytest.mark.parametrize("bound", [["--min", "nan"], ["--max", "nan"],
+                                   ["--max", "1.5"]])
+def test_sweep_detection_proportion_out_of_range(config_dir, tmp_path,
+                                                 capsys, bound):
+    out = tmp_path / "out"
+    assert run_showing_warnings(
+        "--out", out, "sweep", "--config", config_dir / "example_config.txt",
+        "--variable", "detection-proportion", *bound) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "proportions" in err, err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("key,value", [
     ("laser.power", "1e-320 W"),                   # nan CFM ratios
     ("laser.incident_beam_diameter", "1e300 m"),   # no detected signal
@@ -483,6 +496,94 @@ def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     assert "Traceback" not in err and "truth" in err
     assert "Warning" not in err and len(err.splitlines()) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def assert_refused(tmp_path, capsys, code, argv, words):
+    """argv exits with `code`, one stderr line naming each of `words`, no
+    warning or traceback, and an empty --out."""
+    out = tmp_path / "out"
+    assert run_showing_warnings("--out", out, *argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "Warning" not in err and "Traceback" not in err
+    assert all(word in err for word in words), err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("pitch", ["0 um", "-50 um", "inf um", "nan um"])
+def test_bad_map_pitch_is_input_error(tmp_path, capsys, pitch):
+    data = write_manifest(tmp_path, lambda m: m)
+    assert_refused(tmp_path, capsys, 2, ["map", "--model", "t2", "--manifest",
+                                         data, "--pitch", pitch], ["pitch"])
+
+
+@pytest.mark.parametrize("edit,words", [
+    (lambda m: {**m, "pitch_um": 0}, ["pitch"]),
+    (lambda m: {**m, "pitch_um": -50.0}, ["pitch"]),
+    (lambda m: {**m, "pitch_um": float("nan")}, ["'pitch_um'", "finite"]),
+    (lambda m: {**m, "pixels": [{**m["pixels"][0], "x_um": float("inf")},
+                                m["pixels"][1]]}, ["'x_um'", "finite"]),
+    (lambda m: {**m, "pixels": [m["pixels"][0], {**m["pixels"][1],
+                                                 "y_um": float("-inf")}]},
+     ["'y_um'", "finite"]),
+], ids=["zero-pitch", "negative-pitch", "nan-pitch", "infinite-x",
+        "infinite-y"])
+def test_bad_manifest_pitch_or_coordinate_is_input_error(tmp_path, capsys,
+                                                         edit, words):
+    data = write_manifest(tmp_path, edit)
+    assert_refused(tmp_path, capsys, 2, ["map", "--model", "t2",
+                                         "--manifest", data], words)
+
+
+@pytest.mark.parametrize("pitch", ["1e-12 m", "1e-300 m"])
+def test_tiny_map_pitch_is_numerical(tmp_path, capsys, pitch):
+    """A 2 x 2 field of 50 um pitch read at 1e-12 m asks for a grid of
+    2.5e15 pixels (17.8 PiB), which cannot be allocated; at 1e-300 m the
+    grid cannot even be indexed. Only pitches whose grid is far beyond any
+    memory belong here: a grid that fits would be allocated."""
+    data = tmp_path / "data"
+    assert simulate(data, 0.01, 1, ny=2, nx=2) == 0
+    assert_refused(tmp_path, capsys, 3, ["map", "--model", "t2",
+                                         "--manifest", data, "--pitch",
+                                         pitch], ["numerical failure"])
+
+
+@pytest.mark.parametrize("truth,words", [
+    ({"pitch_um": 0}, ["'pitch_um'", "positive"]),
+    ({"pitch_um": -50.0}, ["'pitch_um'", "positive"]),
+    ({"pitch_um": 1e-320}, ["'pitch_um'", "positive"]),
+    ({"pitch_um": float("nan")}, ["'pitch_um'", "finite"]),
+    ({"pitch_um": float("inf")}, ["'pitch_um'", "finite"]),
+    ({"pitch_um": 1e308}, ["'pitch_um'", "coordinates finite"]),
+    ({"pitch_um": 1e307, "origin_um": [1.7e308, 0.0]},
+     ["'pitch_um'", "coordinates finite"]),
+], ids=["zero", "negative", "underflow", "nan", "inf", "overflow",
+        "overflow-origin"])
+def test_bad_truth_pitch_is_input_error(tmp_path, capsys, truth, words):
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({
+        "model": "t2", "nx": 7, "ny": 2, "params": [1.0, 21.5e-6, 1.5],
+        "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}, **truth}))
+    assert_refused(tmp_path, capsys, 2, ["simulate", "--model", "t2",
+                                         "--truth", path], ["truth", *words])
+
+
+def test_large_truth_pitch_maps(tmp_path):
+    """The largest pitches whose coordinates stay finite simulate and map."""
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({
+        "model": "t2", "nx": 2, "ny": 2, "params": [1.0, 21.5e-6, 1.5],
+        "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20},
+        "pitch_um": 1e307, "origin_um": [-1e307, 1e300]}))
+    data = tmp_path / "data"
+    assert run("--out", data, "simulate", "--model", "t2", "--truth",
+               path) == 0
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert np.isfinite([[p["x_um"], p["y_um"]]
+                        for p in manifest["pixels"]]).all()
+    assert run("--out", tmp_path / "map", "map", "--model", "t2",
+               "--manifest", data) == 0
+    assert json.loads((tmp_path / "map" / "map.json").read_text())["nx"] == 2
 
 
 def test_negative_delay_in_pixel_file_is_input_error(tmp_path, capsys):

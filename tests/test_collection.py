@@ -51,7 +51,7 @@ def test_detection_proportion():
         col.detection_proportion(0.0, 1.0, 10e-6)
 
 
-def _reference_fom(zr, reference_context, proportion=1.0, density=1.0):
+def _reference_fom(zr, reference_context, density=1.0):
     ctx = reference_context
     focal = bo.focal_length_for_rayleigh(zr, ctx.incident_beam_diameter,
                                          ctx.wavelength)
@@ -60,15 +60,7 @@ def _reference_fom(zr, reference_context, proportion=1.0, density=1.0):
                                   ctx.wavelength)
     rate = col.detection_rate(col.numerical_aperture(ctx.lens_radius, focal))
     return col.figure_of_merit(region.volume, region.mean_power_density,
-                               rate, ctx.rates, ctx.pump,
-                               proportion=proportion, density=density)
-
-
-def test_figure_of_merit_linear_in_proportion(reference_context):
-    f1 = _reference_fom(0.25e-3, reference_context, proportion=0.25)
-    f2 = _reference_fom(0.25e-3, reference_context, proportion=0.5)
-    assert f2.detected_signal == pytest.approx(2 * f1.detected_signal,
-                                               rel=1e-12)
+                               rate, ctx.rates, ctx.pump, density=density)
 
 
 def test_figure_of_merit_linear_in_density(reference_context):
@@ -79,10 +71,10 @@ def test_figure_of_merit_linear_in_density(reference_context):
 
 
 def test_figure_of_merit_product_identity(reference_context):
-    fom = _reference_fom(0.1e-3, reference_context, proportion=0.7, density=2.0)
+    fom = _reference_fom(0.1e-3, reference_context, density=2.0)
     assert fom.detected_signal == pytest.approx(
         fom.detection_volume * fom.i_cw * fom.polarization
-        * fom.detection_rate * fom.detection_proportion * 2.0, rel=1e-12)
+        * fom.detection_rate * 2.0, rel=1e-12)
 
 
 def test_figure_of_merit_peak_at_thickness_match(reference_context):
@@ -106,7 +98,6 @@ def test_figure_of_merit_unimodal_on_grid(reference_context):
 
 
 def test_figure_of_merit_checks_its_arguments(reference_context):
-    for kwargs in ({"proportion": 0.0}, {"proportion": 1.5},
-                   {"density": 0.0}, {"density": -1.0}):
+    for kwargs in ({"density": 0.0}, {"density": -1.0}):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             _reference_fom(0.25e-3, reference_context, **kwargs)

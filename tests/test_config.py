@@ -57,8 +57,9 @@ def test_minimal_config_defaults(config_dir):
     assert cfg.lens_radius is None
     with pytest.raises(ConfigError, match="lens.radius"):
         cfg.sweep_context()
-    ctx = cfg.sweep_context(lens_radius=12.7e-3)
-    assert ctx.lens_radius == 12.7e-3
+    ctx = parse_config_text(MINIMAL + "lens.radius = 12.7 mm\n",
+                            config_dir).sweep_context()
+    assert ctx.lens_radius == pytest.approx(12.7e-3)
 
 
 def test_missing_required_key(config_dir):

@@ -325,9 +325,10 @@ def random_contexts(base, n=8, seed=404):
 
 
 def assert_rows_equal(rows, expected):
+    assert rows.dtype.names == designer.SWEEP_HEADER
     assert len(rows) == len(expected)
     for row, want in zip(rows, expected):
-        assert row.astuple() == want.astuple()  # bitwise, all seven columns
+        assert row.tolist() == want.astuple()  # bitwise, all seven columns
 
 
 def sweep_specs(context, rng=None):
@@ -358,9 +359,9 @@ def test_rows_of_one_equal_rows_of_the_batch(reference_context):
     for context in random_contexts(reference_context, n=2, seed=7):
         spec = designer.SweepSpec("rayleigh_length",
                                   designer.default_grid(n=40), context)
-        lone = [designer.evaluate_at_rayleigh(zr, context)
+        lone = [designer.evaluate_at_rayleigh(zr, context).tolist()
                 for zr in spec.grid]
-        assert lone == designer.sweep(spec)
+        assert lone == designer.sweep(spec).tolist()
 
 
 def test_steady_states_equal_a_loop_of_steady_state(example_rates):
@@ -391,15 +392,16 @@ def test_figure_of_merit_matches_oracle(reference_context):
             ctx.lens_radius, beam.focal_length))
         fom = collection.figure_of_merit(
             region.volume, region.mean_power_density, rate, ctx.rates,
-            ctx.pump, proportion=0.3, density=2.0)
+            ctx.pump, density=2.0)
         want, _ = old_figure_of_merit(
             beam, region, ctx.rates, ctx.pump,
             old_detection_rate(old_numerical_aperture(ctx.lens_radius,
                                                       beam.focal_length)),
-            proportion=0.3, density=2.0)
+            density=2.0)
         assert fom.power_density == region.mean_power_density
+        # the oracle's detection proportion is its default, 1
         assert (fom.detection_volume, fom.i_cw, fom.polarization,
-                fom.detection_rate, fom.detection_proportion,
+                fom.detection_rate, 1.0,
                 fom.detected_signal) == astuple(want)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lrcfm import designer
+from lrcfm.io import cells, write_csv
 
 
 @pytest.fixture()
@@ -173,12 +174,27 @@ def test_cfm_ratio_threshold(reference_spec):
     assert at_threshold == pytest.approx(1e4, rel=1e-9)
 
 
+def test_sweep_table_is_columns_and_records(reference_context):
+    spec = designer.SweepSpec("rayleigh_length",
+                              designer.default_grid(n=16), reference_context)
+    rows = designer.sweep(spec)
+    assert len(rows) == len(spec.grid)
+    assert rows.dtype.names == designer.SWEEP_HEADER
+    assert rows["variable"].tolist() == list(spec.grid)
+    assert np.array_equal(rows["product"], rows["volume_m3"] * rows["icw"]
+                          * rows["polarization"])
+    for k, row in enumerate(rows):
+        assert row.detected_signal == rows["detected_signal"][k]
+        assert row == rows[k]
+
+
 def test_write_sweep_csv_deterministic(reference_context, tmp_path):
     spec = designer.SweepSpec("rayleigh_length",
                               designer.default_grid(n=16), reference_context)
     rows = designer.sweep(spec)
-    designer.write_sweep_csv(rows, tmp_path / "a.csv")
-    designer.write_sweep_csv(rows, tmp_path / "b.csv")
+    for name in ("a.csv", "b.csv"):  # as the CLI writes sweep.csv
+        write_csv(tmp_path / name, designer.SWEEP_HEADER,
+                  [cells(rows[column]) for column in designer.SWEEP_HEADER])
     a = (tmp_path / "a.csv").read_bytes()
     assert a == (tmp_path / "b.csv").read_bytes()
     header = a.decode().splitlines()[0]

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from lrcfm import mapping, pulse_fit
+from lrcfm.io import write_json
 from lrcfm.pulse_fit import TimeSeries
 from lrcfm.traces import Traces
 
@@ -150,7 +152,7 @@ def test_missing_pixels_counted_by_reason(tmp_path, monkeypatch):
     assert (s.n_unidentifiable, s.n_not_converged, s.n_derive_failed) == \
         (1, 1, 1)
     path = tmp_path / "stats.json"
-    mapping.write_stats_json(s, path)
+    write_json(path, dataclasses.asdict(s))  # as the CLI writes stats.json
     assert list(json.loads(path.read_text())) == [
         "mean", "std", "min", "max", "n_valid", "n_missing",
         "n_unidentifiable", "n_not_converged", "n_derive_failed"]
@@ -241,11 +243,15 @@ def test_pi_time_correction_contract():
 
 
 def test_map_csv_format(tmp_path):
-    values = np.array([[1.5, np.nan]])
-    pm = mapping.PixelMap((0, 0), PITCH, 2, 1, values, "t2", "s")
+    values = np.array([[1.5, np.nan], [-0.0, 2.5]])
+    pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "t2", "s")
     path = tmp_path / "map.csv"
     mapping.write_map_csv(pm, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "x_um,y_um,value,units"
+    # one row per pixel, x fastest
     assert lines[1].split(",") == ["0.0", "0.0", "1.5", "s"]
     assert lines[2].split(",") == ["50.0", "0.0", "", "s"]
+    assert lines[3].split(",") == ["0.0", "50.0", "-0.0", "s"]
+    assert lines[4].split(",") == ["50.0", "50.0", "2.5", "s"]
+    assert len(lines) == 5
