@@ -10,8 +10,9 @@ from .beam_optics import (ExcitationRegion, excitation_region,
                           waist_from_lens)
 from .collection import (FigureOfMerit, detection_proportion, detection_rate,
                          figure_of_merit, numerical_aperture)
+from .config import load_rate_file
 from .nv_rates import (NvRateSet, PumpModel, SteadyState, cw_fluorescence,
-                       load_rate_file, polarization, steady_state)
+                       polarization, steady_state)
 from .pulse_fit import FitResult, TimeSeries, auto_init, fit, pi_time
 from .mapping import MapStats, PixelMap, assemble, stats, synth_map
 

@@ -210,12 +210,11 @@ def _check_interior(opt: designer.OptimalResult) -> None:
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def cmd_design(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
-    spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
-                              cfg.sweep_context())
+    spec = cfg.spec
     opt = designer.optimal_rayleigh(spec)
     focal = beam_optics.focal_length_for_rayleigh(
-        opt.rayleigh_length, cfg.incident_beam_diameter, cfg.wavelength)
+        opt.rayleigh_length, spec.context.incident_beam_diameter,
+        spec.context.wavelength)
     catalog = cfg.catalog if cfg.catalog is not None else designer.default_catalog()
     choice = designer.recommend_lens(catalog, spec)
     report = {
@@ -250,6 +249,7 @@ def cmd_design(args) -> int:
         [v for v in (*report.values(), *report["recommended_lens"].values())
          if isinstance(v, float)])
     _check_interior(opt)
+    out = _out_dir(args, cfg)
     write_csv(out / "sweep.csv", designer.SWEEP_HEADER, map(cells, columns))
     write_json(out / "design_report.json", report)
     print(f"optimal z_R = {opt.rayleigh_length * 1e6:.1f} um "
@@ -262,36 +262,32 @@ def cmd_design(args) -> int:
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    out = _out_dir(args, cfg)
+    spec = cfg.spec
+    n = args.points or len(spec.grid)
     if args.variable == "detection-proportion":
         lo = float(args.grid_min) if args.grid_min else 1e-6
         hi = float(args.grid_max) if args.grid_max else 1.0
-        n = args.points or cfg.sweep_points
         cfm_focal = parse_quantity(args.cfm_focal, "length")
-        spec = designer.SweepSpec("rayleigh_length", cfg.sweep_grid(),
-                                  cfg.sweep_context())
         opt = designer.optimal_rayleigh(spec)
         proportion, ratio = np.array(designer.cfm_comparison(
             spec, cfm_focal, np.geomspace(lo, hi, n), opt)).T
         # the ratio is positive exactly when the optimum's signal is
         _check_design_output(float(ratio.min()), proportion, ratio)
         _check_interior(opt)
-        path = out / "cfm_comparison.csv"
+        path = _out_dir(args, cfg) / "cfm_comparison.csv"
         write_csv(path, ("proportion", "lrcfm_cfm_ratio"),
                   (cells(proportion), cells(ratio)))
         print(f"wrote {path}")
         return EXIT_OK
     variable = {"rayleigh": "rayleigh_length", "waist": "waist_radius"}[
         args.variable]
-    lo = parse_quantity(args.grid_min, "length") if args.grid_min else cfg.sweep_min
-    hi = parse_quantity(args.grid_max, "length") if args.grid_max else cfg.sweep_max
-    n = args.points or cfg.sweep_points
-    grid = designer.default_grid(lo, hi, n)
-    spec = designer.SweepSpec(variable, grid, cfg.sweep_context())
-    rows = designer.sweep(spec)
+    lo = parse_quantity(args.grid_min, "length") if args.grid_min else spec.grid[0]
+    hi = parse_quantity(args.grid_max, "length") if args.grid_max else spec.grid[-1]
+    rows = designer.sweep(dataclasses.replace(
+        spec, variable=variable, grid=designer.default_grid(lo, hi, n)))
     columns = [rows[name] for name in designer.SWEEP_HEADER]
     _check_design_output(float(rows["detected_signal"].max()), *columns)
-    path = out / "sweep.csv"
+    path = _out_dir(args, cfg) / "sweep.csv"
     write_csv(path, designer.SWEEP_HEADER, map(cells, columns))
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK

@@ -198,8 +198,9 @@ def synth_map(truth_params: np.ndarray, model: str, tau: np.ndarray,
     if arity != pulse_fit.MODEL_ARITY[model]:
         raise ValueError(f"{model} needs {pulse_fit.MODEL_ARITY[model]} "
                          f"parameters per pixel, got {arity}")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be non-negative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError("noise sigma must be finite and non-negative, "
+                         f"got {noise_sigma!r}")
     tau = np.asarray(tau, dtype=float)
     iy, ix = np.divmod(np.arange(ny * nx), nx)
     signal = pulse_fit.model_eval(model, tau,

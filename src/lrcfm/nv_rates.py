@@ -20,17 +20,16 @@ same solve at one power density, with the condition number of its
 system. `cw_fluorescence` and `polarization` work elementwise on either.
 `condition_numbers` gives the condition numbers of a whole stack (one
 batched SVD, several times the cost of the solve), for a caller that
-reports them.
+reports them. The rate file is read by `config.load_rate_file`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
-_RATE_KEYS = ("k31", "k32", "k35", "k41", "k42", "k45", "k51", "k52")
+RATE_KEYS = ("k31", "k32", "k35", "k41", "k42", "k45", "k51", "k52")
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,9 @@ class NvRateSet:
     k52: float
 
     def __post_init__(self):
-        for key in _RATE_KEYS:
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be non-negative")
+        for key in RATE_KEYS:
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be non-negative and finite")
         if self.k31 + self.k32 + self.k35 <= 0:
             raise ValueError("level 3 must have a decay channel")
         if self.k41 + self.k42 + self.k45 <= 0:
@@ -78,8 +77,8 @@ class PumpModel:
     coupling: float  # Hz per (W/m^2)
 
     def __post_init__(self):
-        if self.coupling <= 0:
-            raise ValueError("pump coupling must be positive")
+        if not 0 < self.coupling < np.inf:
+            raise ValueError("pump coupling must be positive and finite")
 
     def pump_rate(self, power_density: float) -> float:
         return self.coupling * power_density
@@ -202,33 +201,3 @@ def polarization(ss: SteadyState) -> float:
     if np.less_equal(total, 0).any():
         raise ValueError("polarization undefined: empty ground manifold")
     return (ss.rho11 - ss.rho22) / total
-
-
-def load_rate_file(path) -> tuple[NvRateSet, PumpModel]:
-    """Read a flat key-value rate file.
-
-    Keys k31..k52 are given in MHz; kappa is in Hz per (W/m^2).
-    Lines starting with '#' and blank lines are ignored.
-    """
-    values = {}
-    path = Path(path)
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        try:
-            values[key] = float(text.strip())
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad number {text!r}") from exc
-    missing = [k for k in _RATE_KEYS + ("kappa",) if k not in values]
-    if missing:
-        raise ValueError(f"{path}: missing keys: {', '.join(missing)}")
-    unknown = [k for k in values if k not in _RATE_KEYS + ("kappa",)]
-    if unknown:
-        raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
-    rates = NvRateSet(**{k: values[k] * 1e6 for k in _RATE_KEYS})
-    return rates, PumpModel(coupling=values["kappa"])

@@ -454,17 +454,13 @@ def _solve_rows(matrices, rhs):
 
 
 def _canonicalize_rabi(a, cov, tau):
-    """Resolve the gauges of rabi fits: parameters a (5,) or (N, 5) and
-    their covariances (5, 5) or (N, 5, 5). On a uniform tau grid (step
+    """Resolve the gauges of rabi fits: parameters a (N, 5), amplitudes
+    a1 >= 0, and their covariances (N, 5, 5). On a uniform tau grid (step
     dtau, start tau0), a3 and +-a3 + k/dtau give the same samples: fold
     a3 into [0, 1/(2 dtau)], adjusting a4 so the samples are unchanged.
-    Then resolve (a1, a4) ~ (-a1, a4 + pi): amplitude >= 0, phase wrapped
-    to (-pi, pi]. The covariance follows the sign changes elementwise, so
-    infinite entries stay infinite."""
-    single = np.ndim(a) == 1
-    a = np.array(a, dtype=float, ndmin=2)
-    cov = np.array(cov, dtype=float, ndmin=3)
-    sign = np.ones_like(a)
+    Then wrap the phase a4 to (-pi, pi]. The covariance follows the sign
+    changes of (a3, a4) elementwise, so infinite entries stay infinite."""
+    a, cov = a.copy(), cov.copy()
     dtau = (tau[-1] - tau[0]) / (len(tau) - 1)
     if np.all(np.abs(np.diff(tau) - dtau) <= 1e-9 * dtau):
         rate = 1.0 / dtau
@@ -475,15 +471,10 @@ def _canonicalize_rabi(a, cov, tau):
         s = a[:, 2] > 0.5 * rate
         a[s, 2] = rate - a[s, 2]
         a[s, 3] = -(a[s, 3] + 2 * np.pi * tau[0] / dtau)
-        sign[s, 2:4] = -1.0
-    s = a[:, 0] < 0
-    a[s, 0] = -a[s, 0]
-    a[s, 3] += np.pi
-    sign[s, 0] = -1.0
+        sign = np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+        cov[s] = cov[s] * np.outer(sign, sign)
     a[:, 3] = -((-a[:, 3] + np.pi) % (2 * np.pi) - np.pi)  # wrap to (-pi, pi]
-    s = np.any(sign < 0, axis=1)
-    cov[s] = cov[s] * (sign[s, :, None] * sign[s, None, :])
-    return (a[0], cov[0]) if single else (a, cov)
+    return a, cov
 
 
 def _covariance(model, a, jtj, cost, n):

@@ -665,39 +665,48 @@ def test_alias_start_folds_back_in_band(alias):
 
 
 def test_fold_only_on_uniform_grids():
-    a = np.array([1.0, 3e-6, 40e6, 0.2, 0.5])
-    cov = np.eye(5)
+    a = np.array([[1.0, 3e-6, 40e6, 0.2, 0.5]])
+    cov = np.eye(5)[None]
     uniform = np.linspace(0.0, 4e-6, N_TAU)
     folded, _ = pulse_fit._canonicalize_rabi(a, cov, uniform)
-    assert folded[2] < 0.5 / (uniform[1] - uniform[0])
+    assert folded[0, 2] < 0.5 / (uniform[1] - uniform[0])
     jittered = uniform.copy()
     jittered[5] += 1e-3 * (uniform[1] - uniform[0])
     kept, _ = pulse_fit._canonicalize_rabi(a, cov, jittered)
-    assert kept[2] == a[2]
+    assert kept[0, 2] == a[0, 2]
 
 
 def test_covariance_sign_flip_keeps_inf():
-    a = np.array([-1.0, 3e-6, 1e6, 0.2, 0.5])
-    cov = np.eye(5)
-    cov[1, 1] = np.inf
+    """The fold's sign flip of (a3, a4) keeps infinite covariance entries
+    infinite, in the flipped cross terms too, and makes no NaN."""
     tau = np.linspace(0.0, 4e-6, N_TAU)
-    flipped, out = pulse_fit._canonicalize_rabi(a, cov, tau)
-    assert flipped[0] == 1.0
-    assert out[1, 1] == np.inf
+    rate = 1 / (tau[1] - tau[0])
+    a = np.array([[1.0, 3e-6, rate - 1e6, 0.2, 0.5]])
+    cov = np.eye(5)[None]
+    cov[0, 2, 2] = cov[0, 1, 1] = np.inf
+    cov[0, 2, 3] = cov[0, 3, 2] = np.inf
+    cov[0, 1, 2] = cov[0, 2, 1] = -np.inf
+    folded, out = pulse_fit._canonicalize_rabi(a, cov, tau)
+    assert folded[0, 2] == pytest.approx(1e6)
+    assert out[0, 2, 2] == out[0, 1, 1] == np.inf
+    assert out[0, 2, 3] == out[0, 3, 2] == np.inf  # two flipped signs
+    assert out[0, 1, 2] == out[0, 2, 1] == np.inf  # one flipped sign
     assert not np.any(np.isnan(out))
-    assert out[0, 0] == 1.0
+    assert out[0, 3, 3] == 1.0
 
 
 def test_covariance_follows_the_fold():
     tau = np.linspace(0.0, 4e-6, N_TAU)
     rate = 1 / (tau[1] - tau[0])
-    a = np.array([1.0, 3e-6, rate - 1e6, 0.2, 0.5])
+    a = np.array([[1.0, 3e-6, rate - 1e6, 0.2, 0.5],
+                  [1.0, 3e-6, 1e6, 0.2, 0.5]])
     cov = np.arange(25.0).reshape(5, 5)
-    cov = cov + cov.T
+    cov = np.stack([cov + cov.T] * 2)
     folded, out = pulse_fit._canonicalize_rabi(a, cov, tau)
-    assert folded[2] == pytest.approx(1e6)
+    assert folded[:, 2] == pytest.approx([1e6, 1e6])
     sign = np.array([1, 1, -1, -1, 1])
-    assert np.array_equal(out, cov * np.outer(sign, sign))
+    assert np.array_equal(out[0], cov[0] * np.outer(sign, sign))
+    assert np.array_equal(out[1], cov[1])  # in band: not flipped
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +909,9 @@ def test_covariance_and_fold_equal_former_per_row():
     n = 50
     tau = np.linspace(0.3e-6, 4.3e-6, n)
     rate = 1 / (tau[1] - tau[0])
-    a = np.column_stack([rng.normal(size=9), np.exp(rng.normal(-12, 1, 9)),
+    # amplitudes as the fitter gives them, np.hypot of the linear terms
+    a = np.column_stack([np.abs(rng.normal(size=9)),
+                         np.exp(rng.normal(-12, 1, 9)),
                          rng.uniform(-2, 3, 9) * rate, rng.uniform(-9, 9, 9),
                          rng.normal(size=9)])
     a[4, 2] = np.nan

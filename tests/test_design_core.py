@@ -470,9 +470,8 @@ def test_design_report_conditions_match_oracle(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "design",
                  "--config", str(config)]) == 0
     report = json.loads((tmp_path / "design_report.json").read_text())
-    cfg = load_config(config)
-    want = [row.condition_number for row in old_sweep(designer.SweepSpec(
-        "rayleigh_length", cfg.sweep_grid(), cfg.sweep_context()))]
+    want = [row.condition_number
+            for row in old_sweep(load_config(config).spec)]
     assert report["steady_state_condition_min"] == \
         pytest.approx(min(want), rel=1e-12)
     assert report["steady_state_condition_max"] == \

@@ -1,6 +1,6 @@
 """Malformed inputs to every command that reads a file: each must exit
 with a documented code (2 input, 3 numerical, 4 usage), print no
-traceback, and leave nothing in --out.
+traceback, and leave --out absent.
 
 Each strategy edits a valid input so that it is malformed for sure: a
 required key dropped, a value of the wrong type or unit, a non-finite or
@@ -36,7 +36,8 @@ QUANTITY_KEYS = {"laser.wavelength": "nm", "laser.power": "mW",
                  "sweep.max": "mm"}
 NUMBER_KEYS = ("sample.density", "fiber.magnification", "sweep.points")
 REQUIRED_KEYS = ("laser.wavelength", "laser.power",
-                 "laser.incident_beam_diameter", "sample.thickness", "rates")
+                 "laser.incident_beam_diameter", "sample.thickness", "rates",
+                 "lens.radius")
 
 words = st.text(alphabet="abcdxyz!?,;", min_size=1, max_size=6)
 non_finite = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
@@ -65,7 +66,7 @@ def assert_rejected(argv, out: Path):
     code, err = run(["--out", out, *argv])
     assert code in (2, 3, 4), (code, err)
     assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def edit_line(lines, key, value):
@@ -113,11 +114,15 @@ def malformed_config(draw):
         config = edit_line(config, key, draw(words) + ".absent")
     else:
         key = draw(st.sampled_from(["k31", "k35", "k51", "kappa"]))
-        value = draw(st.one_of(words, st.just(""), st.just("-1")))
-        if draw(st.booleans()):
+        value = draw(st.one_of(words, non_finite, st.just(""), st.just("-1")))
+        edit = draw(st.sampled_from(["drop", "value", "duplicate"]))
+        if edit == "drop":
             rates = [ln for ln in rates if not ln.startswith(key + " ")]
-        else:
+        elif edit == "value":
             rates = edit_line(rates, key, value)
+        else:  # a second line for the key, even with the same value
+            rates.insert(draw(st.integers(0, len(rates))),
+                         next(ln for ln in rates if ln.startswith(key + " ")))
     return config, rates
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lrcfm.config import load_rate_file
 from lrcfm.nv_rates import (NvRateSet, PumpModel, SteadyState,
                             condition_numbers, cw_fluorescence, polarization,
                             steady_state)
@@ -21,6 +22,22 @@ def test_rate_set_validation():
         NvRateSet(0, 0, 0, 0, 1, 1, 1, 1)  # level 3 cannot decay
     with pytest.raises(ValueError):
         NvRateSet(1, 0, 1, 0, 1, 1, 0, 0)  # singlet cannot decay
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("key", ["k31", "k35", "k52"])
+def test_rate_set_refuses_non_finite_rates(key, value):
+    rates = dict(k31=60e6, k32=5e6, k35=10e6, k41=5e6, k42=60e6, k45=10e6,
+                 k51=1e6, k52=1e6)
+    with pytest.raises(ValueError, match=f"{key} must be non-negative and "
+                                         "finite"):
+        NvRateSet(**{**rates, key: value})
+
+
+@pytest.mark.parametrize("coupling", [np.nan, np.inf, 0.0, -8.3e-3])
+def test_pump_refuses_a_coupling_that_is_not_positive_and_finite(coupling):
+    with pytest.raises(ValueError, match="positive and finite"):
+        PumpModel(coupling=coupling)
 
 
 def test_steady_state_rejects_zero_pump():
@@ -135,6 +152,5 @@ def test_condition_number_reported(example_rates):
 def test_load_rate_file_errors(tmp_path):
     bad = tmp_path / "rates.txt"
     bad.write_text("k31 = 65.9\n")
-    with pytest.raises(ValueError, match="missing keys"):
-        from lrcfm.nv_rates import load_rate_file
+    with pytest.raises(ValueError, match="missing required keys: k32, k35"):
         load_rate_file(bad)
