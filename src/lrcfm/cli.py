@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -20,7 +18,8 @@ import numpy as np
 
 from . import (beam_optics, collection, designer, mapping, nv_rates,
                pulse_fit, traces)
-from .config import ConfigError, load_config
+from .config import (ConfigError, dataset_manifest, load_config,
+                     load_manifest, load_truth)
 from .io import cells, write_csv, write_json
 from .units import parse_quantity
 
@@ -127,49 +126,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-_NUMBER = (int, float)
-
-
-def _entry(obj, key: str, where: str, kind, default=None):
-    """obj[key] of JSON type `kind` (`default` when given and the key is
-    absent). A missing key, a value of another type or a non-finite number
-    is an input error, not a KeyError or TypeError."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    if key not in obj and default is not None:
-        return default
-    if key not in obj:
-        raise ConfigError(f"{where}: missing {key!r}")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
-    if isinstance(value, float) and not np.isfinite(value):
-        raise ConfigError(f"{where}: {key!r} must be finite, got {value!r}")
-    return value
-
-
-def _count(obj, key: str, where: str) -> int:
-    """obj[key] as a whole number of at least 1."""
-    value = _entry(obj, key, where, _NUMBER)
-    if not (value >= 1 and float(value).is_integer()):
-        raise ConfigError(f"{where}: {key!r} must be a whole number of at "
-                          f"least 1, got {value!r}")
-    return int(value)
-
-
-def _floats(obj, key: str, where: str) -> np.ndarray:
-    """obj[key] as a float array: a finite number or a (nested) list of
-    finite numbers."""
-    value = _entry(obj, key, where, (list, *_NUMBER))
-    try:
-        values = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: {key!r} must hold numbers") from None
-    if not np.isfinite(values).all():
-        raise ConfigError(f"{where}: {key!r} must hold finite numbers")
-    return values
-
-
 def _out_dir(args, cfg=None) -> Path:
     out = args.out
     if out is None and cfg is not None and cfg.output is not None:
@@ -215,8 +171,7 @@ def cmd_design(args) -> int:
     focal = beam_optics.focal_length_for_rayleigh(
         opt.rayleigh_length, spec.context.incident_beam_diameter,
         spec.context.wavelength)
-    catalog = cfg.catalog if cfg.catalog is not None else designer.default_catalog()
-    choice = designer.recommend_lens(catalog, spec)
+    choice = designer.recommend_lens(cfg.catalog, spec)
     report = {
         "optimal_rayleigh_length_m": opt.rayleigh_length,
         "twice_optimal_rayleigh_length_m": 2.0 * opt.rayleigh_length,
@@ -311,25 +266,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_map(args) -> int:
-    manifest_path = args.manifest
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
-    if not manifest_path.is_file():
-        raise ConfigError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    where = f"manifest {manifest_path}"
-    base = manifest_path.parent
-    pixels = _entry(manifest, "pixels", where, list)
-    data = mapping.Dataset(
-        np.array([_entry(p, "x_um", where, _NUMBER) * 1e-6 for p in pixels]),
-        np.array([_entry(p, "y_um", where, _NUMBER) * 1e-6 for p in pixels]),
-        traces.read_traces([os.path.join(base, _entry(p, "file", where, str))
-                            for p in pixels]))
-    pitch = None
+    x, y, files, pitch = load_manifest(args.manifest)
+    data = mapping.Dataset(x, y, traces.read_traces(files))
     if args.pitch is not None:
         pitch = parse_quantity(args.pitch, "length")
-    elif "pitch_um" in manifest:
-        pitch = _entry(manifest, "pitch_um", where, _NUMBER) * 1e-6
     pixel_map = mapping.assemble(data, args.model, pitch=pitch)
     try:
         map_stats = mapping.stats(pixel_map)
@@ -347,64 +287,16 @@ def cmd_map(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    truth = json.loads(args.truth.read_text())
-    where = f"truth file {args.truth}"
-    model = _entry(truth, "model", where, str, default=args.model)
-    if model != args.model:
-        raise ConfigError(f"truth file is for model {model!r}, "
-                          f"--model says {args.model!r}")
-    arity = pulse_fit.MODEL_ARITY[args.model]
-    nx = _count(truth, "nx", where)
-    ny = _count(truth, "ny", where)
-    params = _floats(truth, "params", where)
-    if params.shape == (arity,):
-        params = np.broadcast_to(params, (ny, nx, arity)).copy()
-    elif params.shape != (ny, nx, arity):
-        raise ConfigError(f"truth params must have shape ({ny}, {nx}, "
-                          f"{arity}) or ({arity},), got {params.shape}")
-    if "tau_s" in truth:
-        tau = _floats(truth, "tau_s", where)
-        if tau.ndim != 1 or not tau.size:
-            raise ConfigError(f"{where}: 'tau_s' must be a list of at least "
-                              "one delay")
-    else:
-        spec = _entry(truth, "tau", where, dict)
-        tau = np.linspace(float(_entry(spec, "start_s", where, _NUMBER)),
-                          float(_entry(spec, "stop_s", where, _NUMBER)),
-                          _count(spec, "points", where))
-    try:  # a grid `map` would refuse, before any model evaluation
-        traces.check_tau(tau)
-        pulse_fit.check_points(args.model, len(tau))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    origin = (0.0, 0.0)
-    if "origin_um" in truth:
-        origin = _floats(truth, "origin_um", where)
-        if origin.shape != (2,):
-            raise ConfigError(f"{where}: 'origin_um' must be two numbers")
-        origin = tuple(1e-6 * float(v) for v in origin)
-    pitch_um = _entry(truth, "pitch_um", where, _NUMBER, default=50.0)
-    pitch = 1e-6 * float(pitch_um)
-    with np.errstate(over="ignore"):  # the pitch and corners as written
-        written = 1e6 * np.array([pitch, *origin, *(
-            np.array(origin) + pitch * np.array([nx - 1, ny - 1]))])
-    if not (pitch > 0 and np.isfinite(written).all()):
-        raise ConfigError(f"{where}: 'pitch_um' = {pitch_um!r} must be "
-                          "positive and keep the pixel coordinates finite")
+    params, tau, origin, pitch = load_truth(args.truth, args.model)
     data = mapping.synth_map(params, args.model, tau, args.noise, args.seed,
                              origin=origin, pitch=pitch)
     out = _out_dir(args)
-    pixels = [{"x_um": x, "y_um": y, "file": f"pixel_{iy:03d}_{ix:03d}.csv"}
-              for (iy, ix), x, y in zip(np.ndindex(ny, nx),
-                                        (data.x * 1e6).tolist(),
-                                        (data.y * 1e6).tolist())]
-    traces.write_traces([out / pixel["file"] for pixel in pixels],
+    manifest = dataset_manifest(args.model, data.x, data.y, params.shape[1],
+                                pitch, args.noise, args.seed)
+    traces.write_traces([out / pixel["file"] for pixel in manifest["pixels"]],
                         *data.traces)
-    manifest = {"model": args.model, "pitch_um": pitch * 1e6,
-                "noise_sigma": args.noise, "seed": args.seed,
-                "pixels": pixels}
     write_json(out / "manifest.json", manifest)
-    print(f"wrote {len(pixels)} pixel files to {out}")
+    print(f"wrote {len(data.x)} pixel files to {out}")
     return EXIT_OK
 
 

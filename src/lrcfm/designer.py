@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -82,8 +80,9 @@ class LensCatalog:
     def __post_init__(self):
         seen = {}
         for name, f, d in self.entries:
-            if f <= 0 or d <= 0:
-                raise ValueError(f"lens {name!r}: non-positive geometry")
+            if not (0 < f < math.inf and 0 < d < math.inf):
+                raise ValueError(f"lens {name!r}: focal length and diameter "
+                                 "must be positive and finite")
             if name in seen and seen[name] != f:
                 raise ValueError(f"lens name {name!r} reused with a "
                                  "different focal length")
@@ -93,12 +92,6 @@ class LensCatalog:
 def default_grid(lo: float = 1e-6, hi: float = 1e-2, n: int = 200) -> tuple:
     """Log-spaced Rayleigh-length grid, 200 points over [1 um, 10 mm]."""
     return tuple(np.geomspace(lo, hi, n))
-
-
-def default_catalog() -> LensCatalog:
-    """The shipped 1-inch achromat catalog, data/lens_catalog.csv."""
-    return load_lens_catalog(resources.files("lrcfm.data")
-                             / "lens_catalog.csv")
 
 
 def _evaluate(focal, lens_radius,
@@ -342,26 +335,3 @@ def ratio_threshold(spec: SweepSpec, cfm_focal: float,
     smaller proportions exceed it)."""
     (_, ratio_at_one), = cfm_comparison(spec, cfm_focal, [1.0])
     return min(1.0, ratio_at_one / target)
-
-
-def load_lens_catalog(path) -> LensCatalog:
-    """Read a lens catalog CSV with header name,focal_length_mm,diameter_mm."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "name,focal_length_mm,diameter_mm":
-        raise ValueError(f"{path}: expected header "
-                         "'name,focal_length_mm,diameter_mm'")
-    entries = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields")
-        name, f_mm, d_mm = parts
-        try:
-            entries.append((name.strip(), float(f_mm) * 1e-3,
-                            float(d_mm) * 1e-3))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad number") from exc
-    return LensCatalog(tuple(entries))

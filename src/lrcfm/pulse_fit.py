@@ -191,6 +191,16 @@ def check_points(model: str, n: int) -> None:
                          f"got {n}")
 
 
+def check_params(model: str, a) -> None:
+    """Refuse parameters (..., arity) of `model` whose nonlinear ones (a2,
+    and a3 for rabi and t2) are not all positive."""
+    nonlinear = list(_NONLINEAR[model])
+    bad = np.argwhere(~(np.asarray(a)[..., nonlinear] > 0))
+    if bad.size:
+        raise ValueError(f"parameter a{nonlinear[bad[0, -1]] + 1} of {model} "
+                         "must be positive")
+
+
 def _starts(model: str, traces: Traces, init=None):
     """Validate a stack for `model`. Returns its identifiable traces (those
     whose signal is not constant) and their starting nonlinear
@@ -210,10 +220,7 @@ def _starts(model: str, traces: Traces, init=None):
         if a.shape != (arity,):
             raise ValueError(f"init must have {arity} parameters")
         a = np.broadcast_to(a, (len(traces), arity))
-    bad = np.argwhere(~(a[:, nonlinear] > 0))
-    if bad.size:
-        i = nonlinear[bad[0, 1]]
-        raise ValueError(f"parameter a{i + 1} of {model} must be positive")
+    check_params(model, a)
     return traces, np.log(a[:, nonlinear])
 
 

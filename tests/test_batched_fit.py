@@ -154,7 +154,11 @@ def _fit_from(model: str, data: TimeSeries, init: np.ndarray,
             break
 
     a = _from_internal(model, b)
-    raw = model_eval(model, data.tau, a) - data.signal
+    # the final iterate can be as extreme as a trial step (a rabi restart
+    # can end at a2 ~ 1e-318 s), and whether -tau / a2 then sets numpy's
+    # overflow flag depends on the SIMD kernel dispatched at run time
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        raw = model_eval(model, data.tau, a) - data.signal
     residual_rms = float(np.sqrt(np.mean(raw ** 2)))
     cov = _covariance(model, a, jtj, cost, len(data), arity)
     if model == "rabi":

@@ -479,11 +479,13 @@ def test_malformed_manifest_is_input_error(tmp_path, capsys, edit):
     lambda t: {**t, "tau": {**t["tau"], "start_s": -1e-5}},
     lambda t: {**{k: v for k, v in t.items() if k != "tau"},
                "tau_s": [0.0, 2e-6, 1e-6, 3e-6, 4e-6]},
+    lambda t: {**t, "params": [1.0, 0.0, 1.5]},
+    lambda t: {**t, "params": [[[1.0, 21.5e-6, 1.5], [1.0, 21.5e-6, -1.0]]]},
 ], ids=["no-nx", "no-ny", "no-params", "no-tau", "no-stop", "list-nx",
         "object-param", "short-origin", "not-object", "zero-nx",
         "fractional-nx", "negative-ny", "zero-points", "fractional-points",
         "empty-tau", "short-points", "short-tau-list", "negative-tau",
-        "unordered-tau-list"])
+        "unordered-tau-list", "zero-a2", "negative-a3"])
 def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
     truth = {"model": "t2", "nx": 2, "ny": 1, "params": [1.0, 21.5e-6, 1.5],
              "tau": {"start_s": 1e-7, "stop_s": 80e-6, "points": 20}}
@@ -494,9 +496,33 @@ def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
                                 "--truth", path)
     err = capsys.readouterr().err
     assert code == 2
-    assert "Traceback" not in err and "truth" in err
+    assert "Traceback" not in err and err.startswith(f"error: {path}: ")
     assert "Warning" not in err and len(err.splitlines()) == 1
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_positive_truth_parameter_is_refused_before_evaluation(
+        tmp_path, capsys):
+    """A t1 truth with a2 = 0 would divide by zero in the model: it is
+    refused, naming the file and its 'params', before any evaluation."""
+    path = tmp_path / "truth.json"
+    path.write_text(json.dumps({"model": "t1", "nx": 2, "ny": 1,
+                                "params": [1, 0, 0], "tau_s": [0, 1, 2, 3]}))
+    assert_refused(tmp_path, capsys, 2, ["simulate", "--model", "t1",
+                                         "--truth", path],
+                   [f"{path}: 'params': parameter a2 of t1 must be positive"])
+
+
+@pytest.mark.parametrize("name", ["truth.json", "manifest.json"])
+def test_broken_json_names_file_line_and_column(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_text('{"model": "t2",\n')
+    argv = (["simulate", "--model", "t2", "--truth", path]
+            if name == "truth.json" else
+            ["map", "--model", "t2", "--manifest", path])
+    assert_refused(tmp_path, capsys, 2, argv, [
+        f"{path}: Expecting property name enclosed in double quotes: "
+        "line 2 column 1 (char 16)"])
 
 
 def assert_refused(tmp_path, capsys, code, argv, words):
@@ -536,6 +562,34 @@ def test_malformed_rate_file_is_input_error(config_dir, tmp_path, capsys,
         assert_refused(tmp_path, capsys, 2, [
             *command, "--config", config_dir / "example_config.txt"],
             [f"{where}: {message}"])
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("nv_rates_example.txt", "k35 = 7.9", "k35 = -1"),
+    ("example_config.txt", "sweep.min = 1 um", "sweep.min = 20 mm"),
+    ("example_config.txt", "volume_model = clipped", "pump.kappa = -1"),
+    ("lens_catalog.csv", "achromat-30mm,30,25.4", "achromat-30mm,-30,25.4"),
+    ("lens_catalog.csv", "achromat-30mm,30,25.4", "achromat-19mm,30,25.4"),
+], ids=["negative-rate", "min-above-max", "negative-kappa",
+        "negative-focal-length", "reused-lens-name"])
+def test_value_a_domain_object_refuses_names_file_and_line(
+        config_dir, tmp_path, capsys, name, old, new):
+    """A value that reads as a number but that the rate set, the pump, the
+    sweep grid or the lens catalog refuses is refused at its own line (for
+    sweep.min above sweep.max, the later of the two lines)."""
+    path = config_dir / name
+    lines = path.read_text().splitlines()
+    i = lines.index(old)
+    lines[i] = new
+    path.write_text("\n".join(lines) + "\n")
+    if name == "example_config.txt" and new.startswith("sweep"):
+        i = next(k for k, line in enumerate(lines)
+                 if line.startswith("sweep.max"))
+    where = path.resolve() if name != "example_config.txt" else path
+    for command in (["design"], ["sweep", "--variable", "rayleigh"]):
+        assert_refused(tmp_path, capsys, 2, [
+            *command, "--config", config_dir / "example_config.txt"],
+            [f"error: {where}:{i + 1}: "])
 
 
 def test_config_without_lens_radius_is_input_error(config_dir, tmp_path,

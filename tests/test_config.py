@@ -4,7 +4,8 @@ import pytest
 
 import lrcfm
 from lrcfm import designer
-from lrcfm.config import ConfigError, load_config, parse_config_text
+from lrcfm.config import (ConfigError, default_catalog, load_config,
+                          parse_config_text)
 
 
 @pytest.fixture()
@@ -72,7 +73,8 @@ def test_minimal_config_defaults(config_dir):
     assert cfg.spec.context.volume_model == "clipped"
     assert cfg.spec.context.lens_radius == pytest.approx(12.7e-3)
     assert cfg.spec.grid == designer.default_grid(1e-6, 1e-2, 200)
-    assert (cfg.catalog, cfg.fiber_core_diameter, cfg.output) == (None,) * 3
+    assert cfg.catalog == default_catalog()
+    assert (cfg.fiber_core_diameter, cfg.output) == (None,) * 2
     without = MINIMAL.replace("lens.radius = 12.7 mm\n", "")
     with pytest.raises(ConfigError,
                        match="missing required keys: lens.radius"):

@@ -21,7 +21,7 @@ import pytest
 import lrcfm
 from lrcfm import collection, designer, nv_rates
 from lrcfm.cli import main
-from lrcfm.config import load_config
+from lrcfm.config import default_catalog, load_config
 from lrcfm.beam_optics import ExcitationRegion
 from lrcfm.nv_rates import PumpModel
 
@@ -406,7 +406,7 @@ def test_figure_of_merit_matches_oracle(reference_context):
 
 
 def test_recommend_lens_matches_oracle(reference_context):
-    catalog = designer.default_catalog()
+    catalog = default_catalog()
     duplicated = designer.LensCatalog(catalog.entries
                                       + (("copy", catalog.entries[3][1],
                                           catalog.entries[3][2]),))

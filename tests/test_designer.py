@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lrcfm import designer
+from lrcfm import config, designer
 from lrcfm.io import cells, write_csv
 
 
@@ -110,7 +110,7 @@ def test_recommend_lens_default_catalog(reference_spec):
     # whose focal length is nearest the unconstrained optimum from the
     # zR* relation
     from lrcfm import beam_optics as bo
-    catalog = designer.default_catalog()
+    catalog = config.default_catalog()
     choice = designer.recommend_lens(catalog, reference_spec)
     opt = designer.optimal_rayleigh(reference_spec)
     f_star = bo.focal_length_for_rayleigh(
@@ -127,7 +127,7 @@ def test_recommend_lens_default_catalog(reference_spec):
 
 
 def test_recommend_lens_permutation_invariant(reference_spec):
-    catalog = designer.default_catalog()
+    catalog = config.default_catalog()
     shuffled = designer.LensCatalog(tuple(reversed(catalog.entries)))
     assert designer.recommend_lens(catalog, reference_spec) == \
         designer.recommend_lens(shuffled, reference_spec)
@@ -207,8 +207,8 @@ def test_write_sweep_csv_deterministic(reference_context, tmp_path):
 def test_load_lens_catalog(tmp_path):
     path = tmp_path / "catalog.csv"
     path.write_text("name,focal_length_mm,diameter_mm\nlens-a,30,25.4\n")
-    catalog = designer.load_lens_catalog(path)
+    catalog = config.load_lens_catalog(path)
     assert catalog.entries == (("lens-a", 30e-3, 25.4e-3),)
     path.write_text("bad,header\n")
     with pytest.raises(ValueError, match="header"):
-        designer.load_lens_catalog(path)
+        config.load_lens_catalog(path)

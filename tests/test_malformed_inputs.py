@@ -1,6 +1,7 @@
 """Malformed inputs to every command that reads a file: each must exit
 with a documented code (2 input, 3 numerical, 4 usage), print no
-traceback, and leave --out absent.
+traceback, and leave --out absent. A malformed truth file, manifest or
+pixel file must also be named on stderr.
 
 Each strategy edits a valid input so that it is malformed for sure: a
 required key dropped, a value of the wrong type or unit, a non-finite or
@@ -62,11 +63,14 @@ def run(argv):
     return code, err.getvalue()
 
 
-def assert_rejected(argv, out: Path):
+def assert_rejected(argv, out: Path, offender=None):
+    """argv exits 2, 3 or 4 with no traceback and no --out, and its stderr
+    names the offending file when one is given."""
     code, err = run(["--out", out, *argv])
     assert code in (2, 3, 4), (code, err)
     assert "Traceback" not in err
     assert not out.exists()
+    assert offender is None or str(offender) in err, (offender, err)
 
 
 def edit_line(lines, key, value):
@@ -193,7 +197,8 @@ def malformed_truth(draw):
     elif kind == "shape":
         truth["params"] = draw(st.sampled_from(
             [[1.0, 2e-5], [[1.0, 2e-5, 1.5]], [], 1.0,
-             [1.0, float("nan"), 1.5], [1.0, 2e-5, float("inf")]]))
+             [1.0, float("nan"), 1.5], [1.0, 2e-5, float("inf")],
+             [1.0, 0.0, 1.5], [1.0, 2e-5, -1.5]]))
     text = json.dumps(truth)
     if kind == "text":
         text = text[:draw(st.integers(0, len(text) - 1))]
@@ -210,7 +215,8 @@ def test_malformed_truth(workdir, text):
         tmp = Path(tmp)
         (tmp / "truth.json").write_text(text)
         assert_rejected(["simulate", "--model", "t2", "--truth",
-                         tmp / "truth.json", "--noise", "0.01"], tmp / "out")
+                         tmp / "truth.json", "--noise", "0.01"], tmp / "out",
+                        offender=tmp / "truth.json")
 
 
 @pytest.fixture(scope="module")
@@ -232,12 +238,13 @@ def dataset(workdir):
 
 @st.composite
 def malformed_manifest(draw):
-    """(manifest text, {pixel file name: text}) with one malformation in
-    the manifest or in a pixel file."""
+    """(manifest text, {pixel file name: text}, name of the offending
+    file) with one malformation in the manifest or in a pixel file."""
     manifest = {"model": "t2", "pitch_um": 50.0,
                 "pixels": [{"x_um": 0.0, "y_um": 0.0, "file": "a.csv"},
                            {"x_um": 50.0, "y_um": 0.0, "file": "b.csv"}]}
     files = {"a.csv": None, "b.csv": None}  # None: the valid pixel file
+    offender = "manifest.json"
     kind = draw(st.sampled_from(["drop", "type", "pixel", "missing", "text",
                                  "not-object", "csv"]))
     if kind == "drop":
@@ -254,16 +261,20 @@ def malformed_manifest(draw):
             pixel[key] = draw(wrong_json.filter(
                 lambda v: not isinstance(v, str) or key != "file"))
     elif kind == "missing":
-        manifest["pixels"][1]["file"] = "absent.csv"
+        manifest["pixels"][1]["file"] = offender = "absent.csv"
     elif kind == "csv":
-        files["b.csv"] = draw(malformed_csv())
+        files["b.csv"], offender = draw(malformed_csv()), "b.csv"
+        if files["b.csv"][0] == "short":
+            # too few delays for the model: refused by the fit, which
+            # does not know the file the stack came from
+            offender = None
     text = json.dumps(manifest)
     if kind == "text":
         text = text[:draw(st.integers(0, len(text) - 1))]
     elif kind == "not-object":
         text = json.dumps(draw(wrong_json.filter(
             lambda v: not isinstance(v, dict)) | st.just([manifest])))
-    return text, files
+    return text, files, offender
 
 
 @st.composite
@@ -297,7 +308,7 @@ def csv_text(valid: str, edit) -> str:
 @EXAMPLES
 @given(malformed_manifest())
 def test_malformed_manifest_and_pixel_files(workdir, dataset, case):
-    text, files = case
+    text, files, offender = case
     valid = (dataset / "pixel_000_000.csv").read_text()
     with tempfile.TemporaryDirectory(dir=workdir) as tmp:
         tmp = Path(tmp)
@@ -306,4 +317,4 @@ def test_malformed_manifest_and_pixel_files(workdir, dataset, case):
             (tmp / name).write_text(valid if edit is None
                                     else csv_text(valid, edit))
         assert_rejected(["map", "--model", "t2", "--manifest", tmp],
-                        tmp / "out")
+                        tmp / "out", offender=offender and tmp / offender)
