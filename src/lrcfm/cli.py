@@ -19,7 +19,7 @@ import numpy as np
 from . import (beam_optics, collection, designer, mapping, nv_rates,
                pulse_fit, traces)
 from .config import (ConfigError, dataset_manifest, load_config,
-                     load_manifest, load_truth)
+                     load_manifest, load_truth, located)
 from .io import cells, write_csv, write_json
 from .units import parse_quantity
 
@@ -250,6 +250,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_fit(args) -> int:
     data = pulse_fit.TimeSeries.from_csv(args.input)
+    with located(args.input):
+        pulse_fit.check_points(args.model, len(data))
     init = None
     if args.init is not None:
         init = np.array([float(v) for v in args.init.split(",")])
@@ -260,14 +262,16 @@ def cmd_fit(args) -> int:
                        for i, p in enumerate(result.params))
     print(f"{args.model}: converged={result.converged} "
           f"iterations={result.iterations} {params}")
-    if not result.converged:
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_NUMERICAL
 
 
 def cmd_map(args) -> int:
     x, y, files, pitch = load_manifest(args.manifest)
-    data = mapping.Dataset(x, y, traces.read_traces(files))
+    stacks = traces.read_traces(files)
+    for stack in stacks:  # refused by the first file of a grid too short
+        with located(files[stack.rows[0]]):
+            pulse_fit.check_points(args.model, len(stack.tau))
+    data = mapping.Dataset(x, y, stacks)
     if args.pitch is not None:
         pitch = parse_quantity(args.pitch, "length")
     pixel_map = mapping.assemble(data, args.model, pitch=pitch)

@@ -6,10 +6,11 @@ reads and writes the pixel files that a manifest lists.
 
 A refusal is a ConfigError that starts with its place: `file:line:` in a
 `key = value` or CSV file, `file: 'key':` in a JSON file, `file:` for the
-whole file (a missing key; a JSON decode error, with its line and column).
-`_located` puts there the ValueError of a domain object built from what a
-reader let through: `NvRateSet`, `PumpModel`, `SweepSpec`, `LensCatalog`,
-and the tau and parameter checks of `traces` and `pulse_fit`.
+whole file (a missing key; a JSON decode error, with its line and column;
+a file that is not UTF-8). `located` puts there the ValueError of a domain
+object built from what a reader let through: `NvRateSet`, `PumpModel`,
+`SweepSpec`, `LensCatalog`, and the tau and parameter checks of `traces`
+and `pulse_fit` (`cli` applies it to a pixel file too short for the fit).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def _located(where):
+def located(where):
     """Re-raise a ValueError of the block, but not a ConfigError, as a
     ConfigError that starts with `where` (or where(error), if a function)."""
     try:
@@ -43,6 +44,11 @@ def _located(where):
     except ValueError as exc:
         raise ConfigError(f"{where(exc) if callable(where) else where}: "
                           f"{exc}") from exc
+
+
+def _read_text(path: Path) -> str:
+    with located(path):  # a file that is not UTF-8 is refused by its name
+        return path.read_text()
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,7 @@ class _Fields(dict):
                               f"{', '.join(missing)}")
 
     def at(self, *keys):
-        """`_located`'s location of an error in a value built from keys:
+        """`located`'s location of an error in a value built from keys:
         the line of the key it names, else the last line of the keys."""
         def where(exc):
             named = [k for k in keys if k in str(exc).split()] or keys
@@ -106,7 +112,7 @@ class _Fields(dict):
             return default
         lineno, text = self[key]
         where = f"{self.source}:{lineno}"
-        with _located(f"{where}: field {key!r}"):
+        with located(f"{where}: field {key!r}"):
             value = parse(text)
         if not math.isfinite(value) or positive and value <= 0:
             rule = "positive and finite" if positive else "finite"
@@ -128,10 +134,10 @@ def load_rate_file(path) -> tuple[NvRateSet, PumpModel]:
     per (W/m^2)) of a rate file."""
     path = Path(path)
     keys = RATE_KEYS + ("kappa",)
-    fields = _Fields(path.read_text(), str(path), keys, keys)
-    with _located(fields.at(*RATE_KEYS)):
+    fields = _Fields(_read_text(path), str(path), keys, keys)
+    with located(fields.at(*RATE_KEYS)):
         rates = NvRateSet(**{k: fields.number(k) * 1e6 for k in RATE_KEYS})
-    with _located(fields.at("kappa")):
+    with located(fields.at("kappa")):
         return rates, PumpModel(coupling=fields.number("kappa"))
 
 
@@ -142,7 +148,7 @@ def load_lens_catalog(path) -> designer.LensCatalog:
     """A lens catalog CSV: the header name,focal_length_mm,diameter_mm,
     then one lens per row (blank lines skipped)."""
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != _CATALOG_HEADER:
         raise ConfigError(f"{path}:1: expected header {_CATALOG_HEADER!r}")
     rows = {}  # line number: (name, focal length, diameter)
@@ -153,7 +159,7 @@ def load_lens_catalog(path) -> designer.LensCatalog:
         if len(parts) != 3:
             raise ConfigError(f"{path}:{lineno}: expected 3 fields")
         name, f_mm, d_mm = parts
-        with _located(f"{path}:{lineno}"):
+        with located(f"{path}:{lineno}"):
             rows[lineno] = (name.strip(), float(f_mm) * 1e-3,
                             float(d_mm) * 1e-3)
     entries = tuple(rows.values())
@@ -161,9 +167,10 @@ def load_lens_catalog(path) -> designer.LensCatalog:
         return designer.LensCatalog(entries)
     except ValueError:  # refused at the first row the catalog cannot take
         for n, lineno in enumerate(rows, start=1):
-            with _located(f"{path}:{lineno}"):
+            with located(f"{path}:{lineno}"):
                 designer.LensCatalog(entries[:n])
-        raise
+        with located(path):  # or refused as a whole: it holds no lens
+            raise
 
 
 def default_catalog() -> designer.LensCatalog:
@@ -191,7 +198,7 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
     rates, pump = load_rate_file(fields.file("rates", base_dir, "rates file"))
     kappa = fields.number("pump.kappa")
     if kappa is not None:
-        with _located(fields.at("pump.kappa")):
+        with located(fields.at("pump.kappa")):
             pump = PumpModel(coupling=kappa)
 
     if "lens.catalog" in fields:
@@ -202,7 +209,7 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
 
     volume_model = fields.get("volume_model", (0, "clipped"))[1]
     points = fields.number("sweep.points", 200.0)
-    with _located(fields.at("volume_model", "sweep.points")):
+    with located(fields.at("volume_model", "sweep.points")):
         if volume_model not in beam_optics.VOLUME_MODELS:
             choices = " or ".join(map(repr, beam_optics.VOLUME_MODELS))
             raise ValueError(f"volume_model must be {choices}, "
@@ -229,7 +236,7 @@ def parse_config_text(text: str, base_dir: Path, source: str = "<config>"
     grid = designer.default_grid(fields.quantity("sweep.min", "length", 1e-6),
                                  fields.quantity("sweep.max", "length", 1e-2),
                                  int(points))
-    with _located(fields.at("sweep.min", "sweep.max", "sweep.points")):
+    with located(fields.at("sweep.min", "sweep.max", "sweep.points")):
         spec = designer.SweepSpec("rayleigh_length", grid, context)
     return RunConfig(
         spec=spec,
@@ -245,7 +252,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"{path}: config file not found")
-    return parse_config_text(path.read_text(), path.parent.resolve(),
+    return parse_config_text(_read_text(path), path.parent.resolve(),
                              source=str(path))
 
 
@@ -295,7 +302,7 @@ def load_truth(path, model: str):
     a truth JSON for `model`, refused before any model evaluation where
     `fit` or `map` would refuse it."""
     path, where = Path(path), str(path)
-    with _located(where):
+    with located(where):
         truth = json.loads(path.read_text())
     if (given := _entry(truth, "model", where, str, model)) != model:
         raise ConfigError(f"{where}: 'model': the truth is for {given!r}, "
@@ -303,7 +310,7 @@ def load_truth(path, model: str):
     arity = pulse_fit.MODEL_ARITY[model]
     nx, ny = _count(truth, "nx", where), _count(truth, "ny", where)
     params = _floats(truth, "params", where)
-    with _located(f"{where}: 'params'"):
+    with located(f"{where}: 'params'"):
         if params.shape not in ((arity,), (ny, nx, arity)):
             raise ValueError(f"must have shape ({ny}, {nx}, {arity}) or "
                              f"({arity},), got {params.shape}")
@@ -316,7 +323,7 @@ def load_truth(path, model: str):
         tau = np.linspace(float(_entry(spec, "start_s", at, _NUMBER)),
                           float(_entry(spec, "stop_s", at, _NUMBER)),
                           _count(spec, "points", at))
-    with _located(f"{where}: {key!r}"):  # a grid `map` would refuse
+    with located(f"{where}: {key!r}"):  # a grid `map` would refuse
         if tau.ndim != 1:
             raise ValueError("must be a list of delays")
         traces.check_tau(tau)
@@ -357,7 +364,7 @@ def load_manifest(path):
     if not path.is_file():
         raise ConfigError(f"{path}: manifest not found")
     where = str(path)
-    with _located(where):
+    with located(where):
         manifest = json.loads(path.read_text())
     x, y, files = [], [], []
     for i, pixel in enumerate(_entry(manifest, "pixels", where, list)):

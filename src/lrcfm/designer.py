@@ -78,6 +78,8 @@ class LensCatalog:
     entries: tuple[tuple[str, float, float], ...]  # (name, focal length, diameter)
 
     def __post_init__(self):
+        if not self.entries:
+            raise ValueError("empty lens catalog")
         seen = {}
         for name, f, d in self.entries:
             if not (0 < f < math.inf and 0 < d < math.inf):
@@ -279,8 +281,6 @@ def recommend_lens(catalog: LensCatalog, spec: SweepSpec) -> LensChoice:
     """Evaluate the detected signal for every catalog lens, in one call of
     the array core, and return the best one. Ties break toward the shorter
     focal length, then by name ordering."""
-    if not catalog.entries:
-        raise ValueError("empty lens catalog")
     lenses = {}  # focal length -> (name, diameter)
     for name, f, d in sorted(catalog.entries, key=lambda e: (e[1], e[0])):
         if f in lenses:

@@ -2,11 +2,12 @@
 synthetic multi-pixel dataset generator used as the test oracle.
 
 A map's pixels are one `Dataset` of coordinates and `Traces` stacks, as
-`cmd_map` reads them and `synth_map` makes them; `assemble` fits each
-stack as one batch, and `write_map_csv` writes map.csv by columns.
+`cmd_map` reads them and `synth_map` makes them; `assemble` fits them
+into one batch of arrays (`pulse_fit.fit_many`), derives the map quantity
+from the whole batch, and `write_map_csv` writes map.csv by columns.
 
 Pixels that fail (unidentifiable data, a fit that did not converge, or a
-derived value that cannot be computed) are recorded as missing (NaN) and
+derived value that is not finite) are recorded as missing (NaN) and
 excluded from statistics, never imputed; the map counts each reason.
 """
 
@@ -20,12 +21,12 @@ from . import pulse_fit
 from .io import cells, write_csv
 from .traces import Traces
 
-# per-model map quantity, its units, and its value from a fit: rabi maps
-# report the pi time, decay maps the fitted time constant a2
+# per-model map quantity, its units, and its values from a batch of fits:
+# rabi maps report the pi time, decay maps the fitted time constant a2
 _DERIVE = {
     "rabi": ("pi_time", "s", pulse_fit.pi_time),
-    "t1": ("t1", "s", lambda r: float(r.params[1])),
-    "t2": ("t2", "s", lambda r: float(r.params[1])),
+    "t1": ("t1", "s", lambda batch: batch.params[:, 1]),
+    "t2": ("t2", "s", lambda batch: batch.params[:, 1]),
 }
 QUANTITIES = tuple(quantity for quantity, _, _ in _DERIVE.values())
 # why a fitted pixel is missing, in the order stats.json reports them
@@ -92,9 +93,9 @@ def assemble(data: Dataset, model: str,
     Coordinates must snap to a common grid (tolerance pitch/100); the
     pitch is inferred from coordinate spacing when not given, and must be
     positive and finite (ValueError). A grid too large to index is an
-    ArithmeticError. Each stack of traces that share a tau grid is fitted
-    as one batch (`pulse_fit.fit_many`). Failed pixels stay missing, and
-    are counted per reason in FAILURES.
+    ArithmeticError. The pixels are fitted as one batch (`fit_many`); a
+    pixel whose trace is constant (iterations 0), whose fit did not
+    converge or whose value is not finite stays missing, counted in FAILURES.
     """
     xs, ys = data.x, data.y
     if not xs.size:
@@ -114,18 +115,15 @@ def assemble(data: Dataset, model: str,
                               "too large to index")
     nx, ny = map(int, shape + 1)
     cell = _cells(xs, ys, x0, y0, pitch, nx)
+    batch = pulse_fit.fit_many(model, data.traces)
+    value = derive(batch)
+    # the index in FAILURES of each pixel's first reason to be missing;
+    # 3 for a valid pixel
+    reason = np.select([batch.iterations == 0, ~batch.converged,
+                        ~np.isfinite(value)], [0, 1, 2], 3)
     values = np.full(ny * nx, np.nan)
-    failures = dict.fromkeys(FAILURES, 0)
-    for k, result in enumerate(pulse_fit.fit_many(model, data.traces)):
-        if result is None:
-            failures["unidentifiable"] += 1
-        elif not result.converged:
-            failures["not_converged"] += 1
-        else:
-            try:
-                values[cell[k]] = derive(result)
-            except ValueError:
-                failures["derive_failed"] += 1
+    values[cell] = np.where(reason == 3, value, np.nan)
+    failures = dict(zip(FAILURES, np.bincount(reason, minlength=3).tolist()))
     return PixelMap(origin=(x0, y0), pitch=float(pitch), nx=nx, ny=ny,
                     values=values.reshape(ny, nx), quantity=quantity,
                     units=units, failures=failures)

@@ -188,8 +188,6 @@ def cw_fluorescence(ss: SteadyState, rates: NvRateSet) -> float:
     spin branch."""
     d3 = rates.excited0_decay
     d4 = rates.excited1_decay
-    if d3 <= 0 or d4 <= 0:
-        raise ValueError("excited states must have a nonzero total decay")
     return ((rates.k31 + rates.k32) / d3 * ss.rho33
             + (rates.k41 + rates.k42) / d4 * ss.rho44)
 

@@ -31,12 +31,12 @@ restarts. The covariance is that of all parameters, from the full-model
 Jacobian (`model_jacobian`) at the solution.
 
 There is one engine, `_variable_projection`, and it works on a stack of
-rows: `fit_many` fits each `Traces` stack (every trace of a map that
-shares a tau grid) as one batch, one row per trace, and `fit` is a batch
-of one trace. The automatic starts, the covariances and the rabi fold
-below are computed for the whole stack at once. Each row keeps its own
-damping, accept/reject rule and stopping test, so a trace's result does
-not depend on the batch it was fitted in.
+rows: `fit_many` fits the `Traces` stacks of a map (each holds the traces
+that share a tau grid) into one batch `FitResult` of arrays, one row per
+trace, and `fit` is row 0 of a batch of one trace. The automatic starts,
+the covariances and the rabi fold below are computed for a whole stack at
+once. Each row keeps its own damping, accept/reject rule and stopping
+test, so a trace's result does not depend on the batch it was fitted in.
 
 The traces come from pixel files (format in `lrcfm.traces`): `map`
 reads a whole manifest with `read_traces`, which converts each distinct
@@ -50,7 +50,7 @@ is folded back to the in-band frequency in [0, 1/(2 dtau)].
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -78,6 +78,10 @@ class UnidentifiableDataError(ValueError):
 
 @dataclass(frozen=True)
 class FitResult:
+    """A fit of one trace, or a batch: then every field but `model` is an
+    array with one row per trace, and a constant (unidentifiable) trace
+    is a row of iterations 0, NaN params, covariance and residual RMS."""
+
     model: str
     params: np.ndarray
     covariance: np.ndarray
@@ -158,26 +162,29 @@ def fit(model: str, data: TimeSeries, init=None) -> FitResult:
     if not len(traces):
         raise UnidentifiableDataError(
             f"constant signal cannot constrain a {model} model")
-    return _fit_stack(model, traces, theta)[0]
+    batch = _fit_stack(model, traces, theta)
+    return FitResult(model, batch.params[0], batch.covariance[0],
+                     float(batch.residual_rms[0]), bool(batch.converged[0]),
+                     int(batch.iterations[0]))
 
 
-def fit_many(model: str, stacks: list[Traces]) -> list[FitResult | None]:
-    """Fit every trace from its automatic start, as `fit` would one at a
-    time; None marks a constant (unidentifiable) trace.
-
-    `stacks` are Traces whose `rows` together number the traces 0..m-1
-    (as `read_traces` returns them); the results are in that order. The
-    traces of a stack are fitted together, one row of a batch per trace;
-    each result is bitwise equal to the lone `fit` of its trace.
-    """
-    results = [None] * sum(len(traces) for traces in stacks)
+def fit_many(model: str, stacks: list[Traces]) -> FitResult:
+    """Fit every trace from its automatic start into one batch, whose row
+    i is bitwise equal to the lone `fit` of trace i, or has iterations 0
+    for a constant trace. `stacks` are Traces whose `rows` together number
+    the traces 0..m-1 (as `read_traces` returns them)."""
+    # an unknown model is refused by _starts, as in `fit`
+    m, k = sum(map(len, stacks)), MODEL_ARITY.get(model, 0)
+    batch = FitResult(model, np.full((m, k), np.nan),
+                      np.full((m, k, k), np.nan), np.full(m, np.nan),
+                      np.zeros(m, dtype=bool), np.zeros(m, dtype=int))
     for traces in stacks:
         traces, theta = _starts(model, traces)
         if len(traces):
-            for row, result in zip(traces.rows,
-                                   _fit_stack(model, traces, theta)):
-                results[row] = result
-    return results
+            part = _fit_stack(model, traces, theta)
+            for f in fields(FitResult)[1:]:  # the arrays, not the model
+                getattr(batch, f.name)[traces.rows] = getattr(part, f.name)
+    return batch
 
 
 def check_points(model: str, n: int) -> None:
@@ -224,10 +231,10 @@ def _starts(model: str, traces: Traces, init=None):
     return traces, np.log(a[:, nonlinear])
 
 
-def _fit_stack(model, traces, theta) -> list[FitResult]:
+def _fit_stack(model, traces, theta) -> FitResult:
     """Fit each trace of a stack from its start theta (log nonlinear
-    parameters); the covariance comes from the full-parameter Jacobian
-    at the solution."""
+    parameters), one row of the batch per trace; the covariance comes
+    from the full-parameter Jacobian at the solution."""
     tau, signal, sigma = traces.tau, traces.signal, traces.sigma
     theta, coef, cost, converged, iterations = _variable_projection(
         model, tau, signal, sigma, theta)
@@ -237,31 +244,20 @@ def _fit_stack(model, traces, theta) -> list[FitResult]:
     for lo in range(0, len(a), _LANES):  # bounded working set
         rows = slice(lo, lo + _LANES)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jb = _log_jacobian(model, tau, a[rows],
-                               None if sigma is None else sigma[rows])
+            # the Jacobian of the model divided by sigma, in every
+            # parameter, the nonlinear ones taken as logarithms
+            jb = model_jacobian(model, tau, a[rows])
+            if sigma is not None:
+                jb /= sigma[rows, :, None]
+            # chain rule d a / d log(a)
+            jb[:, :, _NONLINEAR[model]] *= a[rows, None, _NONLINEAR[model]]
             jtj[rows] = jb.transpose(0, 2, 1) @ jb
             raw = model_eval(model, tau, a[rows]) - signal[rows]
-        rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
+            rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
     cov = _covariance(model, a, jtj, cost, len(tau))
     if model == "rabi":
         a, cov = _canonicalize_rabi(a, cov, tau)
-    return [FitResult(model=model, params=params, covariance=c,
-                      residual_rms=r, converged=ok, iterations=n)
-            for params, c, r, ok, n in zip(
-                a, cov, rms.tolist(), converged.tolist(),
-                iterations.tolist())]
-
-
-def _log_jacobian(model, tau, a, sigma):
-    """Jacobian in every parameter, the nonlinear ones taken as logarithms,
-    of the model divided by sigma (rows of errors, or None for ones):
-    shape (N, len(tau), arity) for parameter rows a of shape (N, arity)."""
-    jb = model_jacobian(model, tau, a)
-    if sigma is not None:
-        jb /= sigma[:, :, None]
-    for i in _NONLINEAR[model]:
-        jb[:, :, i] *= a[:, i, None]  # chain rule d a / d log(a)
-    return jb
+    return FitResult(model, a, cov, rms, converged, iterations)
 
 
 def _positive(theta):
@@ -501,8 +497,7 @@ def _covariance(model, a, jtj, cost, n):
                     inverse[i] = np.linalg.pinv(matrix)
         cov_b = s2[:, None, None] * inverse
         scale = np.ones_like(a)
-        for i in _NONLINEAR[model]:
-            scale[:, i] = a[:, i]
+        scale[:, _NONLINEAR[model]] = a[:, _NONLINEAR[model]]
         # d a / d log(a) chain rule
         cov = cov_b * (scale[:, :, None] * scale[:, None, :])
         return 0.5 * (cov + cov.transpose(0, 2, 1))
@@ -572,13 +567,17 @@ def _one_over_e_time(tau, y, baseline, amplitude, fallback):
     return np.where(found, tau[first], fallback)
 
 
-def pi_time(rabi_result: FitResult) -> float:
-    """Pi-pulse duration 1 / (2 * a3) from a converged rabi fit."""
+def pi_time(rabi_result: FitResult):
+    """Pi-pulse duration 1 / (2 * a3) from a converged rabi fit. A lone fit
+    that is not converged, or whose a3 is not positive, is refused
+    (ValueError); a batch gives NaN on such rows."""
     if rabi_result.model != "rabi":
         raise ValueError("pi_time requires a rabi fit result")
-    if not rabi_result.converged:
+    a3 = rabi_result.params[..., 2]
+    if np.ndim(a3) == 0 and not rabi_result.converged:
         raise ValueError("pi_time requires a converged fit")
-    a3 = rabi_result.params[2]
-    if a3 <= 0:
+    if np.ndim(a3) == 0 and a3 <= 0:
         raise ValueError(f"rabi frequency must be positive, got {a3}")
-    return 1.0 / (2.0 * a3)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rabi_result.converged & (a3 > 0), 1.0 / (2.0 * a3),
+                        np.nan)[()]

@@ -5,6 +5,7 @@ import pytest
 import lrcfm
 from lrcfm import designer
 from lrcfm.nv_rates import NvRateSet
+from lrcfm.pulse_fit import FitResult
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,12 @@ def random_rate_set(rng: np.random.Generator) -> NvRateSet:
         k51=scale * rng.uniform(0.005, 0.05),
         k52=scale * rng.uniform(0.005, 0.05),
     )
+
+
+def fit_rows(batch: FitResult) -> list:
+    """The rows of a `fit_many` batch as lone FitResults, as `fit` returns
+    them, with None for a constant (unidentifiable) row."""
+    return [None if n == 0 else FitResult(batch.model, p, c, r, ok, n)
+            for p, c, r, ok, n in zip(
+                batch.params, batch.covariance, batch.residual_rms.tolist(),
+                batch.converged.tolist(), batch.iterations.tolist())]

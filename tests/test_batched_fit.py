@@ -22,6 +22,8 @@ from lrcfm.pulse_fit import (MODEL_ARITY, STEP_TOLERANCE, MAX_ITERATIONS,
                              auto_init, model_eval, model_jacobian)
 from lrcfm.traces import Traces, read_traces, write_traces
 
+from conftest import fit_rows
+
 # ---------------------------------------------------------------------------
 # scalar oracle (verbatim)
 # ---------------------------------------------------------------------------
@@ -278,7 +280,7 @@ ORACLE_WARNING = "ignore:invalid value encountered in matmul:RuntimeWarning"
 def test_batched_matches_scalar_oracle(model):
     for seed in (1, 2):
         series, truth = field(model, seed)
-        batched = pulse_fit.fit_many(model, as_stacks(series))
+        batched = fit_rows(pulse_fit.fit_many(model, as_stacks(series)))
         compared = 0
         for data, true, new in zip(series, truth, batched):
             old = scalar_fit(model, data)
@@ -313,7 +315,7 @@ def test_fold_recovers_at_least_the_oracle_pi_times():
     hits_old = hits_new = 0
     for seed in (1, 2):
         series, truth = field("rabi", seed)
-        fits = pulse_fit.fit_many("rabi", as_stacks(series))
+        fits = fit_rows(pulse_fit.fit_many("rabi", as_stacks(series)))
         for data, true, new in zip(series, truth, fits):
             old = scalar_fit("rabi", data)
             target = 1 / (2 * true[2])
@@ -328,11 +330,23 @@ def test_fit_equals_its_row_of_a_batch(model):
     series, _ = field(model, seed=3)
     series = series[:24]
     forward = pulse_fit.fit_many(model, as_stacks(series))
-    backward = pulse_fit.fit_many(model, as_stacks(series[::-1]))[::-1]
-    for data, a, b in zip(series, forward, backward):
+    backward = pulse_fit.fit_many(model, as_stacks(series[::-1]))
+    for i, data in enumerate(series):
         alone = pulse_fit.fit(model, data)
-        assert same_result(alone, a)
-        assert same_result(alone, b)
+        for batch, row in ((forward, i), (backward, len(series) - 1 - i)):
+            # every field of the row, bitwise, and of the Python types of
+            # a lone fit once taken out of the arrays
+            assert batch.model == alone.model
+            assert np.array_equal(batch.params[row], alone.params)
+            assert np.array_equal(batch.covariance[row], alone.covariance,
+                                  equal_nan=True)
+            assert batch.residual_rms[row].tobytes() == \
+                np.float64(alone.residual_rms).tobytes()
+            assert batch.converged[row] == alone.converged
+            assert batch.iterations[row] == alone.iterations
+            assert same_result(alone, fit_rows(batch)[row])
+    assert type(alone.residual_rms) is float
+    assert type(alone.converged) is bool and type(alone.iterations) is int
 
 
 def test_assemble_pixels_equal_lone_fits():
@@ -353,7 +367,13 @@ def test_fit_many_groups_grids_sigma_and_constant_traces():
                           sigma=np.linspace(0.01, 0.03, len(series[1])))
     flat = TimeSeries(series[2].tau, np.full(len(series[2]), 0.3))
     batch = [series[3], coarse, weighted, flat, series[4]]
-    results = pulse_fit.fit_many("t1", as_stacks(batch))
+    fitted = pulse_fit.fit_many("t1", as_stacks(batch))
+    assert fitted.iterations[3] == 0 and not fitted.converged[3]
+    assert np.isnan(fitted.params[3]).all()
+    assert np.isnan(fitted.covariance[3]).all()
+    assert np.isnan(fitted.residual_rms[3])
+    assert (fitted.iterations[[0, 1, 2, 4]] > 0).all()
+    results = fit_rows(fitted)
     assert results[3] is None
     with pytest.raises(UnidentifiableDataError):
         pulse_fit.fit("t1", flat)
@@ -381,7 +401,7 @@ def test_rabi_field_needs_few_rounds(monkeypatch):
         return solve(matrices, rhs)
 
     monkeypatch.setattr(pulse_fit, "_solve_rows", counting)
-    results = pulse_fit.fit_many("rabi", as_stacks(series))
+    results = fit_rows(pulse_fit.fit_many("rabi", as_stacks(series)))
     assert len(series) == 147 and all(r.converged for r in results)
     assert sum(rounds) >= len(series)  # every row took a step
     assert len(rounds) <= 40
@@ -400,7 +420,7 @@ def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
         return jacobian(model, tau, a)
 
     monkeypatch.setattr(pulse_fit, "model_jacobian", counting)
-    results = pulse_fit.fit_many("rabi", as_stacks(series))
+    results = fit_rows(pulse_fit.fit_many("rabi", as_stacks(series)))
     assert len(series) == 147 and all(r.converged for r in results)
     assert len(rows) == math.ceil(147 / pulse_fit._LANES) == 2
     assert sum(rows) == 147
@@ -831,7 +851,11 @@ def former_fit_many(model, series):
                                            np.stack(starts))
         a = pulse_fit._full_params(model, pulse_fit._positive(theta), coef)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jb = pulse_fit._log_jacobian(model, tau, a, sigma)
+            jb = model_jacobian(model, tau, a)
+            if sigma is not None:
+                jb /= sigma[:, :, None]
+            for i in _LOG_PARAMS[model]:
+                jb[:, :, i] *= a[:, i, None]  # chain rule d a / d log(a)
             jtj = jb.transpose(0, 2, 1) @ jb
             raw = model_eval(model, tau, a) - signal
         rms = np.sqrt(np.mean(raw ** 2, axis=1))
@@ -866,7 +890,7 @@ def mixed_field(model, seed):
 def test_stacked_path_equals_former_per_trace_path(model):
     for series in (field(model, 7)[0], mixed_field(model, 8)):
         want = former_fit_many(model, series)
-        got = pulse_fit.fit_many(model, as_stacks(series))
+        got = fit_rows(pulse_fit.fit_many(model, as_stacks(series)))
         assert [r is None for r in got] == [r is None for r in want]
         for new, old in zip(got, want):
             assert new is None or same_result(new, old)
@@ -879,7 +903,7 @@ def test_fit_many_takes_read_stacks(tmp_path):
         data.to_csv(path)
     stacks = read_traces(paths)
     assert len(stacks) == 4  # two grids, with and without errors
-    got = pulse_fit.fit_many("t2", stacks)
+    got = fit_rows(pulse_fit.fit_many("t2", stacks))
     for new, old in zip(got, former_fit_many("t2", series)):
         assert (new is None and old is None) or same_result(new, old)
 

@@ -592,6 +592,43 @@ def test_value_a_domain_object_refuses_names_file_and_line(
             [f"error: {where}:{i + 1}: "])
 
 
+@pytest.mark.parametrize("name,edit,message", [
+    ("example_config.txt", lambda b: b"\xff" + b, "codec can't decode"),
+    ("nv_rates_example.txt", lambda b: b"\xff" + b, "codec can't decode"),
+    ("lens_catalog.csv", lambda b: b"\xff" + b, "codec can't decode"),
+    ("lens_catalog.csv", lambda b: b.splitlines(keepends=True)[0],
+     "empty lens catalog"),
+], ids=["config-not-utf8", "rates-not-utf8", "catalog-not-utf8",
+        "header-only-catalog"])
+def test_unreadable_settings_file_is_refused_by_its_name(
+        config_dir, tmp_path, capsys, name, edit, message):
+    """A config, rate file or lens catalog that is not UTF-8, and a catalog
+    with a header and no lens, are refused with the file's name."""
+    path = config_dir / name
+    path.write_bytes(edit(path.read_bytes()))
+    where = path.resolve() if name != "example_config.txt" else path
+    for command in (["design"], ["sweep", "--variable", "rayleigh"]):
+        assert_refused(tmp_path, capsys, 2, [
+            *command, "--config", config_dir / "example_config.txt"],
+            [f"error: {where}: ", message])
+
+
+def test_pixel_file_too_short_is_refused_by_its_name(tmp_path, capsys):
+    """A pixel file with fewer delays than the fit needs is refused by
+    `fit` and by `map` with its name; `map` names the first file of the
+    short grid."""
+    data = write_manifest(tmp_path, lambda m: m)
+    for name in ("pixel_000_000.csv", "pixel_000_001.csv"):
+        (data / name).write_text("tau_s,signal\n1e-6,1.0\n2e-6,0.5\n")
+    path = data / "pixel_000_000.csv"
+    message = "t2 fit needs at least 4 points, got 2"
+    assert_refused(tmp_path, capsys, 2, ["fit", "--model", "t2", "--input",
+                                         path], [f"error: {path}: {message}"])
+    assert_refused(tmp_path, capsys, 2, ["map", "--model", "t2",
+                                         "--manifest", data],
+                   [f"error: {path}: {message}"])
+
+
 def test_config_without_lens_radius_is_input_error(config_dir, tmp_path,
                                                    capsys):
     cfg = config_dir / "example_config.txt"

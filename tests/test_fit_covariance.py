@@ -55,10 +55,10 @@ def test_reported_errors_match_the_spread(case):
     rng = np.random.default_rng([2718, sorted(CASES).index(case)])
     signal = pulse_fit.model_eval(model, tau, truth) \
         + rng.normal(0.0, noise, (N, len(tau)))
-    results = pulse_fit.fit_many(model, [Traces(tau, signal)])
-    assert all(r is not None and r.converged for r in results)
-    estimates = np.array([r.params for r in results])
-    errors = np.sqrt(np.array([np.diag(r.covariance) for r in results]))
+    batch = pulse_fit.fit_many(model, [Traces(tau, signal)])
+    assert (batch.iterations > 0).all() and batch.converged.all()
+    estimates = batch.params
+    errors = np.sqrt(np.diagonal(batch.covariance, axis1=1, axis2=2))
     ratio = estimates.std(axis=0, ddof=1) / np.median(errors, axis=0)
     z = ((estimates - truth) / errors).std(axis=0, ddof=1)
     skew = np.abs(skewness(estimates))

@@ -29,6 +29,8 @@ from lrcfm.io import atomic_write, cells, write_csv, write_json
 from lrcfm.pulse_fit import FitResult, TimeSeries
 from lrcfm.traces import Traces
 
+from conftest import fit_rows
+
 EDGE = np.array([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                  1e-300, 1 / 3, -2.5, 1e16, 2.0 ** 53 + 2, 1e308, -1e308,
                  1.7976931348623157e308])
@@ -266,11 +268,11 @@ def fits(rng):
         for sigma in (None, np.exp(rng.uniform(-5, -3, tau.size))):
             noisy = clean + 0.02 * rng.normal(size=tau.size)
             yield pulse_fit.fit(model, TimeSeries(tau, noisy, sigma))
-    yield from pulse_fit.fit_many("t2", [Traces(
+    yield from fit_rows(pulse_fit.fit_many("t2", [Traces(
         np.linspace(1e-7, 80e-6, 40),
         pulse_fit.model_eval("t2", np.linspace(1e-7, 80e-6, 40),
                              np.array([1.0, 21.5e-6, 1.5]))
-        + 0.01 * rng.normal(size=(5, 40)), np.full((5, 40), 0.01))])
+        + 0.01 * rng.normal(size=(5, 40)), np.full((5, 40), 0.01))]))
     cov = np.outer(EDGE[:5], EDGE[5:10])
     cov[0, 1] = np.inf
     cov[2, 2] = np.nan

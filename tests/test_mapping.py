@@ -127,7 +127,8 @@ def test_constant_pixel_marked_missing():
 
 def test_missing_pixels_counted_by_reason(tmp_path, monkeypatch):
     params = t2_truth_field(2, 3)
-    params[1, 2, 1] = 60e-6  # the pixel whose derived value fails
+    params[1, 2, 1] = 60e-6  # the pixels whose derived values fail: NaN
+    params[1, 0, 1] = 40e-6  # and infinite
     data = mapping.synth_map(params, "t2", t2_tau(), 0.001, 0)
     signal = data.traces[0].signal.copy()
     signal[0] = 3.0
@@ -135,27 +136,42 @@ def test_missing_pixels_counted_by_reason(tmp_path, monkeypatch):
     rising = TimeSeries(t2_tau(), signal[1])
     assert not pulse_fit.fit("t2", rising).converged
 
-    def derive(result):
-        if result.params[1] > 50e-6:
-            raise ValueError("out of range")
-        return float(result.params[1])
+    def derive(batch):
+        a2 = batch.params[:, 1]
+        return np.where(a2 > 50e-6, np.nan, np.where(a2 > 35e-6, np.inf, a2))
 
     monkeypatch.setitem(mapping._DERIVE, "t2", ("t2", "s", derive))
     pixel_map = mapping.assemble(edited(data, signal=signal), "t2",
                                  pitch=PITCH)
     assert pixel_map.failures == {"unidentifiable": 1, "not_converged": 1,
-                                  "derive_failed": 1}
+                                  "derive_failed": 2}
     assert np.isnan(pixel_map.values[0, 0]) and np.isnan(pixel_map.values[0, 1])
     assert np.isnan(pixel_map.values[1, 2])
+    assert np.isnan(pixel_map.values[1, 0])
     s = mapping.stats(pixel_map)
-    assert (s.n_valid, s.n_missing) == (3, 3)
+    assert (s.n_valid, s.n_missing) == (2, 4)
     assert (s.n_unidentifiable, s.n_not_converged, s.n_derive_failed) == \
-        (1, 1, 1)
+        (1, 1, 2)
     path = tmp_path / "stats.json"
     write_json(path, dataclasses.asdict(s))  # as the CLI writes stats.json
     assert list(json.loads(path.read_text())) == [
         "mean", "std", "min", "max", "n_valid", "n_missing",
         "n_unidentifiable", "n_not_converged", "n_derive_failed"]
+
+
+def test_slow_rabi_field_assembles_without_warnings():
+    """A rabi field whose frequency is far below 1/span: some fits end at
+    parameters whose residuals overflow when squared. Their residual RMS
+    is taken under the fitter's errstate, as the rest of the fit is, so no
+    RuntimeWarning (an error under pytest's settings) escapes; each pixel
+    is valid or counted missing."""
+    params = np.broadcast_to([0.3, 2e-7, 4e-6, 0.1, 1.0], (21, 7, 5))
+    data = mapping.synth_map(params, "rabi", np.linspace(0.0, 2.38e-6, 120),
+                             0.01, 42)
+    pixel_map = mapping.assemble(data, "rabi")
+    assert pixel_map.failures["not_converged"] > 0
+    assert np.sum(np.isfinite(pixel_map.values)) \
+        + sum(pixel_map.failures.values()) == 147
 
 
 def test_stats_basic():

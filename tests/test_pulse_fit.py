@@ -267,6 +267,29 @@ def test_pi_time_requires_convergence():
         pf.pi_time(result)
 
 
+def test_pi_time_of_a_batch():
+    """A batch gives each row's pi time, NaN where a lone fit is refused
+    (not converged, a3 not positive), and inf, without a warning, where
+    1 / (2 a3) overflows; a lone fit of each row agrees."""
+    a3 = np.array([1.0, 2.0, -1.0, 0.0, 1e-320, 1.0])
+    params = np.column_stack([np.ones(6), np.ones(6), a3, np.zeros(6),
+                              np.full(6, 0.5)])
+    converged = np.array([True, True, True, True, True, False])
+    batch = pf.FitResult("rabi", params, np.zeros((6, 5, 5)), np.zeros(6),
+                         converged, np.full(6, 3))
+    got = pf.pi_time(batch)
+    assert got[:2].tolist() == [0.5, 0.25] and got[4] == np.inf
+    assert np.isnan(got[[2, 3, 5]]).all()
+    for i in range(6):
+        lone = pf.FitResult("rabi", params[i], np.zeros((5, 5)), 0.0,
+                            bool(converged[i]), 3)
+        if np.isnan(got[i]):
+            with pytest.raises(ValueError):
+                pf.pi_time(lone)
+        else:
+            assert pf.pi_time(lone) == got[i]
+
+
 def test_csv_round_trip(tmp_path):
     truth = np.array([1.0, 11e-3, 0.2])
     data = make_data("t1", truth, noise=0.01, seed=9)
