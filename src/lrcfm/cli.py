@@ -248,14 +248,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _read_pixel_files(model: str, files) -> list[traces.Traces]:
+    """The pixel files' stacks (`read_traces`); a stack whose tau grid is
+    too short for `model` is refused by its first file."""
+    stacks = traces.read_traces(files)
+    for stack in stacks:
+        with located(files[stack.rows[0]]):
+            pulse_fit.check_points(model, len(stack.tau))
+    return stacks
+
+
 def cmd_fit(args) -> int:
-    data = pulse_fit.TimeSeries.from_csv(args.input)
-    with located(args.input):
-        pulse_fit.check_points(args.model, len(data))
-    init = None
-    if args.init is not None:
-        init = np.array([float(v) for v in args.init.split(",")])
-    result = pulse_fit.fit(args.model, data, init=init)
+    data = _read_pixel_files(args.model, [args.input])[0].series(0)
+    init = None if args.init is None else np.array(
+        [float(v) for v in args.init.split(",")])
+    # a constant file is refused by its name, an --init refusal is not
+    with located(args.input, pulse_fit.UnidentifiableDataError):
+        result = pulse_fit.fit(args.model, data, init=init)
     out = _out_dir(args)
     write_json(out / f"fit_{args.model}.json", dataclasses.asdict(result))
     params = ", ".join(f"a{i + 1}={p:.6g}"
@@ -267,10 +276,7 @@ def cmd_fit(args) -> int:
 
 def cmd_map(args) -> int:
     x, y, files, pitch = load_manifest(args.manifest)
-    stacks = traces.read_traces(files)
-    for stack in stacks:  # refused by the first file of a grid too short
-        with located(files[stack.rows[0]]):
-            pulse_fit.check_points(args.model, len(stack.tau))
+    stacks = _read_pixel_files(args.model, files)
     data = mapping.Dataset(x, y, stacks)
     if args.pitch is not None:
         pitch = parse_quantity(args.pitch, "length")

@@ -34,14 +34,14 @@ class ConfigError(ValueError):
 
 
 @contextmanager
-def located(where):
-    """Re-raise a ValueError of the block, but not a ConfigError, as a
-    ConfigError that starts with `where` (or where(error), if a function)."""
+def located(where, kind=ValueError):
+    """Re-raise a `kind` of ValueError of the block, but not a ConfigError,
+    as a ConfigError that starts with `where` (or where(error), if callable)."""
     try:
         yield
     except ConfigError:
         raise
-    except ValueError as exc:
+    except kind as exc:
         raise ConfigError(f"{where(exc) if callable(where) else where}: "
                           f"{exc}") from exc
 

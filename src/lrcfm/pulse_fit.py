@@ -28,7 +28,8 @@ columns themselves, so an iteration evaluates no model Jacobian. The
 nonlinear parameters are positive, and are optimized as their logarithms.
 The rabi phase is part of the linear solve, so a rabi fit needs no phase
 restarts. The covariance is that of all parameters, from the full-model
-Jacobian (`model_jacobian`) at the solution.
+Jacobian (as `model_jacobian` gives it) at the solution, built from the
+same basis as the residual RMS there.
 
 There is one engine, `_variable_projection`, and it works on a stack of
 rows: `fit_many` fits the `Traces` stacks of a map (each holds the traces
@@ -96,13 +97,18 @@ def model_eval(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
     times the linear coefficients, as the fitter evaluates the model."""
     tau = np.asarray(tau, dtype=float)
     rows, nl = _parameter_rows(model, a)
-    phi, c = _basis(model, tau, nl), _coefficients(model, rows)
+    f = _combine(_basis(model, tau, nl), _coefficients(model, rows))
+    return f[0] if np.ndim(a) == 1 else f
+
+
+def _combine(phi, c):
+    """The model phi c (N, len(tau)) of a basis and its coefficients."""
     # summed column by column, without BLAS (which may fuse a multiply and
     # an add), so a t1 or t2 value is a1*exp(...) + a3 rounded as written
     f = phi[:, :, 0] * c[:, :1]
     for j in range(1, c.shape[1]):
         f += phi[:, :, j] * c[:, j:j + 1]
-    return f[0] if np.ndim(a) == 1 else f
+    return f
 
 
 def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -111,10 +117,17 @@ def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
     columns are `_basis_derivatives`, the linear ones the basis."""
     tau = np.asarray(tau, dtype=float)
     rows, nl = _parameter_rows(model, a)
-    c = _coefficients(model, rows)
-    phi = _basis(model, tau, nl)
+    jac = _jacobian(model, tau, rows, _basis(model, tau, nl),
+                    _coefficients(model, rows))
+    return jac[0] if np.ndim(a) == 1 else jac
+
+
+def _jacobian(model, tau, rows, phi, c):
+    """`model_jacobian` of parameter rows (N, arity) from their basis phi
+    and linear coefficients c."""
     jac = np.empty(phi.shape[:2] + rows.shape[1:])
-    jac[:, :, _NONLINEAR[model]] = _basis_derivatives(model, tau, nl, phi, c)
+    jac[:, :, _NONLINEAR[model]] = _basis_derivatives(
+        model, tau, rows[:, _NONLINEAR[model]], phi, c)
     if model == "rabi":  # (a1, a4) are the polar form of (c0, c1)
         p0, p1 = phi[:, :, 0], phi[:, :, 1]
         jac[:, :, 0] = np.cos(rows[:, 3:4]) * p0 - np.sin(rows[:, 3:4]) * p1
@@ -122,7 +135,7 @@ def model_jacobian(model: str, tau: np.ndarray, a: np.ndarray) -> np.ndarray:
         jac[:, :, 4] = phi[:, :, 2]
     else:
         jac[:, :, _LINEAR[model]] = phi
-    return jac[0] if np.ndim(a) == 1 else jac
+    return jac
 
 
 def _parameter_rows(model, a):
@@ -148,38 +161,33 @@ def _stretched_log(tau, a2, u):
 
 
 def fit(model: str, data: TimeSeries, init=None) -> FitResult:
-    """Least-squares fit of `model` to `data`.
-
-    Minimizes sum(((f(tau; a) - y) / sigma)^2) by variable projection:
-    adaptive Marquardt damping on the nonlinear parameters, the linear
-    ones solved exactly at every step. Convergence: relative step of the
-    nonlinear parameters < STEP_TOLERANCE (1e-8) within 200 iterations;
-    a non-converged fit is returned with converged=False rather than
-    raised. Of `init` only the nonlinear entries are used (a2, and a3 for
-    rabi and t2). A batch of one trace: the result is that of `fit_many`.
-    """
-    traces, theta = _starts(model, data.as_traces(), init)
-    if not len(traces):
+    """Least-squares fit of `model` to one trace: row 0 of `fit_many` of
+    it, with Python scalars for the residual RMS, converged and
+    iterations. A constant trace is refused (UnidentifiableDataError)."""
+    batch = fit_many(model, [data.as_traces()], init)
+    if batch.iterations[0] == 0:
         raise UnidentifiableDataError(
             f"constant signal cannot constrain a {model} model")
-    batch = _fit_stack(model, traces, theta)
     return FitResult(model, batch.params[0], batch.covariance[0],
                      float(batch.residual_rms[0]), bool(batch.converged[0]),
                      int(batch.iterations[0]))
 
 
-def fit_many(model: str, stacks: list[Traces]) -> FitResult:
-    """Fit every trace from its automatic start into one batch, whose row
-    i is bitwise equal to the lone `fit` of trace i, or has iterations 0
-    for a constant trace. `stacks` are Traces whose `rows` together number
-    the traces 0..m-1 (as `read_traces` returns them)."""
-    # an unknown model is refused by _starts, as in `fit`
+def fit_many(model: str, stacks: list[Traces], init=None) -> FitResult:
+    """Least-squares fits of `model` to the traces of `stacks` (Traces
+    whose `rows` together number them 0..m-1, as `read_traces` returns
+    them), as one batch: row i is the fit of trace i by variable
+    projection, from `auto_init` or from the nonlinear entries of `init`
+    (a2, and a3 for rabi and t2). A row converged if the relative step of
+    its nonlinear parameters fell below STEP_TOLERANCE within
+    MAX_ITERATIONS iterations; a constant trace is a row of iterations 0."""
+    # an unknown model is refused by _starts
     m, k = sum(map(len, stacks)), MODEL_ARITY.get(model, 0)
     batch = FitResult(model, np.full((m, k), np.nan),
                       np.full((m, k, k), np.nan), np.full(m, np.nan),
                       np.zeros(m, dtype=bool), np.zeros(m, dtype=int))
     for traces in stacks:
-        traces, theta = _starts(model, traces)
+        traces, theta = _starts(model, traces, init)
         if len(traces):
             part = _fit_stack(model, traces, theta)
             for f in fields(FitResult)[1:]:  # the arrays, not the model
@@ -244,15 +252,18 @@ def _fit_stack(model, traces, theta) -> FitResult:
     for lo in range(0, len(a), _LANES):  # bounded working set
         rows = slice(lo, lo + _LANES)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # one basis at the solution gives the model and its Jacobian
+            nl = a[rows][:, _NONLINEAR[model]]
+            phi, c = _basis(model, tau, nl), _coefficients(model, a[rows])
             # the Jacobian of the model divided by sigma, in every
             # parameter, the nonlinear ones taken as logarithms
-            jb = model_jacobian(model, tau, a[rows])
+            jb = _jacobian(model, tau, a[rows], phi, c)
             if sigma is not None:
                 jb /= sigma[rows, :, None]
             # chain rule d a / d log(a)
-            jb[:, :, _NONLINEAR[model]] *= a[rows, None, _NONLINEAR[model]]
+            jb[:, :, _NONLINEAR[model]] *= nl[:, None, :]
             jtj[rows] = jb.transpose(0, 2, 1) @ jb
-            raw = model_eval(model, tau, a[rows]) - signal[rows]
+            raw = _combine(phi, c) - signal[rows]
             rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
     cov = _covariance(model, a, jtj, cost, len(tau))
     if model == "rabi":

@@ -12,7 +12,7 @@ lines are skipped; lines may end in LF, CRLF or CR. Each value is parsed as
 Python's float() parses it (surrounding spaces, `1_000`, `+.5`, `1E5`
 and non-ASCII digits included), so a file reads the same alone or among
 others. tau must strictly increase and be non-negative (-0 counts as 0),
-tau and the readings must be finite, and sigma must be positive.
+tau and the readings must be finite, and sigma must be positive (not NaN).
 `read_traces` converts each distinct tau column once and the readings one
 file at a time; `write_traces` writes each value as its repr() (`io.cells`,
 which reads back as the same float) and formats a shared tau column once.
@@ -42,31 +42,29 @@ def check_tau(tau) -> None:
 def _check_readings(signal, sigma) -> None:
     if not np.isfinite(signal).all():
         raise ValueError("tau and signal must be finite")
+    # not `any(sigma <= 0)`, which a NaN passes
     if sigma is not None and (sigma.shape != signal.shape
-                              or np.any(sigma <= 0)):
+                              or not np.all(sigma > 0)):
         raise ValueError("sigma must match tau and be positive")
 
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A pulse-measurement trace: delay times, readings, optional errors."""
+    """A pulse-measurement trace: delay times, readings, optional errors,
+    converted and checked as the `Traces` stack of one that it makes."""
 
     tau: np.ndarray
     signal: np.ndarray
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=float)
-        signal = np.asarray(self.signal, dtype=float)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "signal", signal)
-        if tau.ndim != 1 or signal.shape != tau.shape:
+        if np.ndim(self.tau) != 1 or np.shape(self.signal) != np.shape(self.tau):
             raise ValueError("tau and signal must be 1-d arrays of equal length")
-        if self.sigma is not None:
-            object.__setattr__(self, "sigma",
-                               np.asarray(self.sigma, dtype=float))
-        check_tau(tau)
-        _check_readings(signal, self.sigma)
+        one = self.as_traces()
+        object.__setattr__(self, "tau", one.tau)
+        object.__setattr__(self, "signal", one.signal[0])
+        if one.sigma is not None:
+            object.__setattr__(self, "sigma", one.sigma[0])
 
     def __len__(self):
         return self.tau.size
@@ -82,8 +80,8 @@ class TimeSeries:
 
     def as_traces(self) -> "Traces":
         """This trace as a stack of one."""
-        return Traces(self.tau, self.signal[None],
-                      None if self.sigma is None else self.sigma[None])
+        return Traces(self.tau, [self.signal],
+                      None if self.sigma is None else [self.sigma])
 
 
 @dataclass(frozen=True)

@@ -349,6 +349,24 @@ def test_fit_equals_its_row_of_a_batch(model):
     assert type(alone.converged) is bool and type(alone.iterations) is int
 
 
+@pytest.mark.parametrize("model", ["t1", "t2", "rabi"])
+def test_fit_many_starts_every_row_from_init(model):
+    """`init` gives every row of a batch one start, as it gives the lone
+    fit of each trace; a bad init is refused for the whole batch."""
+    series, truth = field(model, seed=3)
+    series, init = series[:12], truth[0]
+    batch = pulse_fit.fit_many(model, as_stacks(series), init)
+    for i, data in enumerate(series):
+        assert same_result(pulse_fit.fit(model, data, init),
+                           fit_rows(batch)[i])
+    auto = pulse_fit.fit_many(model, as_stacks(series))
+    assert not np.array_equal(batch.iterations, auto.iterations)
+    bad = init.copy()
+    bad[1] = -bad[1]
+    with pytest.raises(ValueError, match="a2 of .* must be positive"):
+        pulse_fit.fit_many(model, as_stacks(series), bad)
+
+
 def test_assemble_pixels_equal_lone_fits():
     series, _ = field("rabi", seed=4)
     series = series[:4 * NX]
@@ -410,16 +428,23 @@ def test_rabi_field_needs_few_rounds(monkeypatch):
 def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
     """The iterations build Kaufman's Jacobian from the basis in hand; the
     full-model Jacobian is evaluated once per batch of _LANES rows, for
-    the covariance at the solution."""
+    the covariance at the solution, from the one basis that also gives
+    the residual RMS: the fit calls neither model_eval nor
+    model_jacobian, which would each build the basis again."""
     series, _ = field("rabi", seed=6)
-    jacobian = pulse_fit.model_jacobian
+    jacobian = pulse_fit._jacobian
     rows = []
 
-    def counting(model, tau, a):
+    def counting(model, tau, a, phi, c):
         rows.append(len(a))
-        return jacobian(model, tau, a)
+        return jacobian(model, tau, a, phi, c)
 
-    monkeypatch.setattr(pulse_fit, "model_jacobian", counting)
+    def refused(model, tau, a):
+        raise AssertionError("the fit built the basis at the solution again")
+
+    monkeypatch.setattr(pulse_fit, "_jacobian", counting)
+    monkeypatch.setattr(pulse_fit, "model_jacobian", refused)
+    monkeypatch.setattr(pulse_fit, "model_eval", refused)
     results = fit_rows(pulse_fit.fit_many("rabi", as_stacks(series)))
     assert len(series) == 147 and all(r.converged for r in results)
     assert len(rows) == math.ceil(147 / pulse_fit._LANES) == 2
@@ -1092,6 +1117,7 @@ GOOD = "tau_s,signal\n0,1\n1,0.5\n2,0.25\n"
     ("tau_s,signal\n-1e-5,1\n0,2\n1,3\n", "non-negative"),
     ("tau_s,signal\n0,1\n1,inf\n", "finite"),
     ("tau_s,signal,sigma\n0,1,1\n1,2,0\n", "sigma"),
+    ("tau_s,signal,sigma\n0,1,1\n1,2,nan\n", "sigma"),
 ])
 def test_csv_reader_errors(tmp_path, text, message):
     """Each rejection names its file, alone or among good files."""

@@ -629,6 +629,43 @@ def test_pixel_file_too_short_is_refused_by_its_name(tmp_path, capsys):
                    [f"error: {path}: {message}"])
 
 
+def test_constant_pixel_file_is_refused_by_its_name(tmp_path, capsys):
+    """`fit` refuses a constant pixel file by its name, also with an
+    --init; an --init refusal names no file."""
+    path = tmp_path / "flat.csv"
+    path.write_text("tau_s,signal\n" + "".join(
+        f"{t}e-6,0.5\n" for t in range(1, 6)))
+    message = "constant signal cannot constrain a t1 model"
+    for init in ([], ["--init", "1,-2e-5,0"]):
+        assert_refused(tmp_path, capsys, 2, ["fit", "--model", "t1",
+                                             "--input", path, *init],
+                       [f"error: {path}: {message}"])
+    path.write_text("tau_s,signal\n1e-6,1\n2e-6,0.6\n3e-6,0.4\n4e-6,0.3\n")
+    out = tmp_path / "out"
+    assert run("--out", out, "fit", "--model", "t1", "--input", path,
+               "--init", "1,-2e-5,0") == 2
+    assert capsys.readouterr().err == \
+        "error: parameter a2 of t1 must be positive\n"
+    assert not out.exists()
+
+
+def test_nan_sigma_is_refused_by_its_name(tmp_path, capsys):
+    """A pixel file with a NaN sigma is refused by `fit` and by `map` with
+    its name, as a sigma that is not positive is."""
+    data = write_manifest(tmp_path, lambda m: m)
+    path = data / "pixel_000_001.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(["tau_s,signal,sigma"]
+                              + [f"{line},0.01" for line in lines[1:-1]]
+                              + [f"{lines[-1]},nan"]) + "\n")
+    message = "sigma must match tau and be positive"
+    assert_refused(tmp_path, capsys, 2, ["fit", "--model", "t2", "--input",
+                                         path], [f"error: {path}: {message}"])
+    assert_refused(tmp_path, capsys, 2, ["map", "--model", "t2",
+                                         "--manifest", data],
+                   [f"error: {path}: {message}"])
+
+
 def test_config_without_lens_radius_is_input_error(config_dir, tmp_path,
                                                    capsys):
     cfg = config_dir / "example_config.txt"

@@ -164,14 +164,42 @@ def test_slow_rabi_field_assembles_without_warnings():
     parameters whose residuals overflow when squared. Their residual RMS
     is taken under the fitter's errstate, as the rest of the fit is, so no
     RuntimeWarning (an error under pytest's settings) escapes; each pixel
-    is valid or counted missing."""
+    is valid or counted missing. Most fits converge at a vanishing a3:
+    their pi times, longer than the span, count as derive_failed, and
+    every valid pi time is at most the span."""
     params = np.broadcast_to([0.3, 2e-7, 4e-6, 0.1, 1.0], (21, 7, 5))
-    data = mapping.synth_map(params, "rabi", np.linspace(0.0, 2.38e-6, 120),
-                             0.01, 42)
+    tau = np.linspace(0.0, 2.38e-6, 120)
+    data = mapping.synth_map(params, "rabi", tau, 0.01, 42)
     pixel_map = mapping.assemble(data, "rabi")
     assert pixel_map.failures["not_converged"] > 0
-    assert np.sum(np.isfinite(pixel_map.values)) \
-        + sum(pixel_map.failures.values()) == 147
+    assert pixel_map.failures["derive_failed"] > 0
+    valid = pixel_map.values[np.isfinite(pixel_map.values)]
+    assert valid.size + sum(pixel_map.failures.values()) == 147
+    assert np.all(valid <= tau[-1] - tau[0])
+    batch = pulse_fit.fit_many("rabi", data.traces)
+    over = np.sum(batch.converged & ~(pulse_fit.pi_time(batch) <= tau[-1]))
+    assert pixel_map.failures["derive_failed"] == over
+
+
+@pytest.mark.parametrize("points,missing", [(9, 3), (10, 0)])
+def test_pi_time_longer_than_its_own_span_is_derive_failed(points, missing):
+    """Each rabi pixel's pi time is held to the span of its own tau grid:
+    on noiseless data (pi time 0.294 us) the pixels of a 4 us grid stay
+    valid, and those of a second grid of `points` delays (span 0.269 us
+    for 9, 0.303 us for 10) are derive_failed where the span is shorter."""
+    tau = np.linspace(0.0, 4e-6, 120)
+    params = np.broadcast_to([1.0, 2.5e-6, 1.7e6, 0.4, 0.5], (2, 3, 5))
+    data = mapping.synth_map(params, "rabi", tau, 0.0, 0)
+    (stack,) = data.traces
+    stacks = [stack.take(np.arange(3)),
+              Traces(tau[:points], stack.signal[3:, :points], rows=[3, 4, 5])]
+    pixel_map = mapping.assemble(mapping.Dataset(data.x, data.y, stacks),
+                                 "rabi")
+    assert pixel_map.failures == {"unidentifiable": 0, "not_converged": 0,
+                                  "derive_failed": missing}
+    np.testing.assert_allclose(pixel_map.values[0], 1 / (2 * 1.7e6),
+                               rtol=1e-9)
+    assert np.isnan(pixel_map.values[1]).sum() == missing
 
 
 def test_stats_basic():
