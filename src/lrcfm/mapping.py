@@ -7,9 +7,9 @@ into one batch of arrays (`pulse_fit.fit_many`), derives the map quantity
 from the whole batch, and `write_map_csv` writes map.csv by columns.
 
 Pixels that fail (unidentifiable data, a fit that did not converge, or a
-derived value that is not finite or, for a rabi pi time, longer than the
-trace's span) are recorded as missing (NaN) and excluded from statistics,
-never imputed; the map counts each reason.
+derived value that is not finite or longer than the trace's span) are
+recorded as missing (NaN) and excluded from statistics, never imputed;
+the map counts each reason.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ def assemble(data: Dataset, model: str,
     ArithmeticError. The pixels are fitted as one batch (`fit_many`); a
     pixel whose trace is constant (iterations 0), whose fit did not
     converge or whose value is not finite stays missing, counted in FAILURES.
-    A rabi pixel's pi time must also be at most its trace's span, tau[-1]
-    - tau[0]: a longer one means less than half a period was observed, and
-    counts as derive_failed.
+    A pixel's value must also be at most its trace's span, tau[-1] -
+    tau[0]: a longer time was not measured (less than half a rabi period
+    observed, or a decay that does not decay within the span), and counts
+    as derive_failed.
     """
     xs, ys = data.x, data.y
     if not xs.size:
@@ -121,11 +122,10 @@ def assemble(data: Dataset, model: str,
     cell = _cells(xs, ys, x0, y0, pitch, nx)
     batch = pulse_fit.fit_many(model, data.traces)
     value = derive(batch)
-    if model == "rabi":  # a pi time longer than the span was not measured
-        span = np.empty(value.size)
-        for stack in data.traces:
-            span[stack.rows] = stack.tau[-1] - stack.tau[0]
-        value = np.where(value <= span, value, np.nan)
+    span = np.empty(value.size)  # a time longer than this was not measured
+    for stack in data.traces:
+        span[stack.rows] = stack.tau[-1] - stack.tau[0]
+    value = np.where(value <= span, value, np.nan)
     # the index in FAILURES of each pixel's first reason to be missing;
     # 3 for a valid pixel
     reason = np.select([batch.iterations == 0, ~batch.converged,

@@ -31,13 +31,16 @@ restarts. The covariance is that of all parameters, from the full-model
 Jacobian (as `model_jacobian` gives it) at the solution, built from the
 same basis as the residual RMS there.
 
-There is one engine, `_variable_projection`, and it works on a stack of
+There is one engine, `_variable_projection`, and it works on a block of
 rows: `fit_many` fits the `Traces` stacks of a map (each holds the traces
 that share a tau grid) into one batch `FitResult` of arrays, one row per
-trace, and `fit` is row 0 of a batch of one trace. The automatic starts,
-the covariances and the rabi fold below are computed for a whole stack at
-once. Each row keeps its own damping, accept/reject rule and stopping
-test, so a trace's result does not depend on the batch it was fitted in.
+trace, and `fit` is row 0 of a batch of one trace. The block, at most
+_BLOCK traces of one stack, is the only unit of work: `fit_many` fits
+each block from its starts to its covariances and rabi fold, then places
+its rows in the batch, so the working memory is bounded by the block
+however large the map. Each row keeps its own damping, accept/reject rule
+and stopping test, so a trace's result does not depend on the block it
+was fitted in.
 
 The traces come from pixel files (format in `lrcfm.traces`): `map`
 reads a whole manifest with `read_traces`, which converts each distinct
@@ -68,9 +71,9 @@ _LINEAR = {"t1": (0, 2), "t2": (0,)}
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8
 _MAX_REJECTIONS = 50  # rejected trial steps per iteration before giving up
-# rows in flight in one batch; bounds the working arrays, such as the
-# (rows, len(tau), k) basis
-_LANES = 96
+# rows of a block, the unit of work of `fit_many`; bounds the working
+# arrays, such as the (rows, len(tau), k) basis
+_BLOCK = 256
 
 
 class UnidentifiableDataError(ValueError):
@@ -180,18 +183,22 @@ def fit_many(model: str, stacks: list[Traces], init=None) -> FitResult:
     projection, from `auto_init` or from the nonlinear entries of `init`
     (a2, and a3 for rabi and t2). A row converged if the relative step of
     its nonlinear parameters fell below STEP_TOLERANCE within
-    MAX_ITERATIONS iterations; a constant trace is a row of iterations 0."""
-    # an unknown model is refused by _starts
+    MAX_ITERATIONS iterations; a constant trace is a row of iterations 0.
+    The non-constant traces of each stack are fitted in blocks of at most
+    _BLOCK rows, each from its start to its covariance."""
+    # an unknown model is refused by check_points
     m, k = sum(map(len, stacks)), MODEL_ARITY.get(model, 0)
     batch = FitResult(model, np.full((m, k), np.nan),
                       np.full((m, k, k), np.nan), np.full(m, np.nan),
                       np.zeros(m, dtype=bool), np.zeros(m, dtype=int))
     for traces in stacks:
-        traces, theta = _starts(model, traces, init)
-        if len(traces):
-            part = _fit_stack(model, traces, theta)
+        check_points(model, len(traces.tau))
+        identifiable = np.flatnonzero(np.ptp(traces.signal, axis=1) != 0.0)
+        for lo in range(0, len(identifiable), _BLOCK):
+            block = traces.take(identifiable[lo:lo + _BLOCK])
+            part = _fit_block(model, block, init)
             for f in fields(FitResult)[1:]:  # the arrays, not the model
-                getattr(batch, f.name)[traces.rows] = getattr(part, f.name)
+                getattr(batch, f.name)[block.rows] = getattr(part, f.name)
     return batch
 
 
@@ -208,26 +215,20 @@ def check_points(model: str, n: int) -> None:
 
 def check_params(model: str, a) -> None:
     """Refuse parameters (..., arity) of `model` whose nonlinear ones (a2,
-    and a3 for rabi and t2) are not all positive."""
+    and a3 for rabi and t2) are not all positive and finite."""
     nonlinear = list(_NONLINEAR[model])
-    bad = np.argwhere(~(np.asarray(a)[..., nonlinear] > 0))
+    a = np.asarray(a)[..., nonlinear]
+    bad = np.argwhere(~((a > 0) & (a < np.inf)))
     if bad.size:
         raise ValueError(f"parameter a{nonlinear[bad[0, -1]] + 1} of {model} "
-                         "must be positive")
+                         "must be positive and finite")
 
 
-def _starts(model: str, traces: Traces, init=None):
-    """Validate a stack for `model`. Returns its identifiable traces (those
-    whose signal is not constant) and their starting nonlinear
-    parameters, as logarithms, shape (k, q)."""
-    check_points(model, len(traces.tau))
-    arity = MODEL_ARITY[model]
-    identifiable = np.ptp(traces.signal, axis=1) != 0.0
-    if not identifiable.all():
-        traces = traces.take(identifiable)
-    nonlinear = list(_NONLINEAR[model])
-    if not len(traces):
-        return traces, np.empty((0, len(nonlinear)))
+def _fit_block(model, traces, init) -> FitResult:
+    """Fit each trace of a block (at most _BLOCK non-constant traces of one
+    stack) from `auto_init` or `init`, one row of the result per trace; the
+    covariance comes from the full-parameter Jacobian at the solution."""
+    arity, nonlinear = MODEL_ARITY[model], list(_NONLINEAR[model])
     if init is None:
         a = auto_init(model, traces)
     else:
@@ -236,35 +237,22 @@ def _starts(model: str, traces: Traces, init=None):
             raise ValueError(f"init must have {arity} parameters")
         a = np.broadcast_to(a, (len(traces), arity))
     check_params(model, a)
-    return traces, np.log(a[:, nonlinear])
-
-
-def _fit_stack(model, traces, theta) -> FitResult:
-    """Fit each trace of a stack from its start theta (log nonlinear
-    parameters), one row of the batch per trace; the covariance comes
-    from the full-parameter Jacobian at the solution."""
     tau, signal, sigma = traces.tau, traces.signal, traces.sigma
     theta, coef, cost, converged, iterations = _variable_projection(
-        model, tau, signal, sigma, theta)
+        model, tau, signal, sigma, np.log(a[:, nonlinear]))
     a = _full_params(model, _positive(theta), coef)
-    jtj = np.empty((len(a), a.shape[1], a.shape[1]))
-    rms = np.empty(len(a))
-    for lo in range(0, len(a), _LANES):  # bounded working set
-        rows = slice(lo, lo + _LANES)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            # one basis at the solution gives the model and its Jacobian
-            nl = a[rows][:, _NONLINEAR[model]]
-            phi, c = _basis(model, tau, nl), _coefficients(model, a[rows])
-            # the Jacobian of the model divided by sigma, in every
-            # parameter, the nonlinear ones taken as logarithms
-            jb = _jacobian(model, tau, a[rows], phi, c)
-            if sigma is not None:
-                jb /= sigma[rows, :, None]
-            # chain rule d a / d log(a)
-            jb[:, :, _NONLINEAR[model]] *= nl[:, None, :]
-            jtj[rows] = jb.transpose(0, 2, 1) @ jb
-            raw = _combine(phi, c) - signal[rows]
-            rms[rows] = np.sqrt(np.mean(raw ** 2, axis=1))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # one basis at the solution gives the model and its Jacobian
+        nl = a[:, nonlinear]
+        phi, c = _basis(model, tau, nl), _coefficients(model, a)
+        # the Jacobian of the model divided by sigma, in every parameter,
+        # the nonlinear ones taken as logarithms
+        jb = _jacobian(model, tau, a, phi, c)
+        if sigma is not None:
+            jb /= sigma[:, :, None]
+        jb[:, :, nonlinear] *= nl[:, None, :]  # chain rule d a / d log(a)
+        jtj = jb.transpose(0, 2, 1) @ jb
+        rms = np.sqrt(np.mean((_combine(phi, c) - signal) ** 2, axis=1))
     cov = _covariance(model, a, jtj, cost, len(tau))
     if model == "rabi":
         a, cov = _canonicalize_rabi(a, cov, tau)
@@ -338,7 +326,7 @@ def _full_params(model, nl, c):
 
 
 def _variable_projection(model, tau, y, sigma, theta):
-    """Damped Gauss-Newton on the nonlinear parameters of a stack of rows:
+    """Damped Gauss-Newton on the nonlinear parameters of a block of rows:
     row m fits `model` to trace y[m] (errors sigma[m], or ones when sigma
     is None) from theta[m], the logarithms of its nonlinear parameters.
 
@@ -356,10 +344,9 @@ def _variable_projection(model, tau, y, sigma, theta):
     on a singular system) until a finite cost no larger than the current
     one is found; a row stops on a relative step of theta below
     STEP_TOLERANCE (converged), after 50 rejections in one iteration, or
-    after MAX_ITERATIONS iterations. Each round makes one trial step for every
-    row in flight; at most _LANES rows are in flight, and finished rows
-    are replaced by waiting ones. A row's arithmetic does not depend on
-    the other rows.
+    after MAX_ITERATIONS iterations. Every row starts in the first round,
+    and each round makes one trial step for every row not yet stopped. A
+    row's arithmetic does not depend on the other rows.
 
     Returns (theta, c, cost, converged, iterations).
     """
@@ -368,8 +355,6 @@ def _variable_projection(model, tau, y, sigma, theta):
     theta = theta.copy()
     if sigma is not None:
         y = y / sigma
-    coef = np.empty((m, MODEL_ARITY[model] - q))
-    cost = np.empty(m)
     lam = np.full(m, 1e-3)
     jtj = np.empty((m, q, q))
     g = np.empty((m, q))
@@ -407,19 +392,11 @@ def _variable_projection(model, tau, y, sigma, theta):
         jtj[rows] = jbt @ jb * (nl[:, :, None] * nl[:, None, :])
         g[rows] = (jbt @ r[:, :, None])[:, :, 0] * nl
 
-    active = np.arange(0)
-    next_row = 0
+    active = np.arange(m)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while active.size or next_row < m:
-            # refill in bulk once half the lanes are free
-            if next_row < m and active.size <= _LANES // 2:
-                rows = np.arange(next_row,
-                                 min(m, next_row + _LANES - active.size))
-                next_row = rows[-1] + 1
-                nl, phi, gram, coef[rows], r, cost[rows] = project(
-                    rows, theta[rows])
-                linearize(rows, nl, phi, gram, coef[rows], r)
-                active = np.concatenate([active, rows])
+        nl, phi, gram, coef, r, cost = project(active, theta)
+        linearize(active, nl, phi, gram, coef, r)
+        while active.size:
             damped = jtj[active]
             damped[:, diagonal, diagonal] += lam[active, None] * np.clip(
                 damped[:, diagonal, diagonal], 1e-300, None)

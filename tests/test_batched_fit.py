@@ -326,14 +326,18 @@ def test_fold_recovers_at_least_the_oracle_pi_times():
 
 
 @pytest.mark.parametrize("model", ["t1", "t2", "rabi"])
-def test_fit_equals_its_row_of_a_batch(model):
+def test_fit_equals_its_row_of_a_batch(model, monkeypatch):
     series, _ = field(model, seed=3)
     series = series[:24]
     forward = pulse_fit.fit_many(model, as_stacks(series))
     backward = pulse_fit.fit_many(model, as_stacks(series[::-1]))
+    with monkeypatch.context() as patch:  # blocks of 5, 5, 5, 5 and 4 rows
+        patch.setattr(pulse_fit, "_BLOCK", 5)
+        blocks = pulse_fit.fit_many(model, as_stacks(series))
     for i, data in enumerate(series):
         alone = pulse_fit.fit(model, data)
-        for batch, row in ((forward, i), (backward, len(series) - 1 - i)):
+        for batch, row in ((forward, i), (backward, len(series) - 1 - i),
+                           (blocks, i)):
             # every field of the row, bitwise, and of the Python types of
             # a lone fit once taken out of the arrays
             assert batch.model == alone.model
@@ -427,9 +431,9 @@ def test_rabi_field_needs_few_rounds(monkeypatch):
 
 def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
     """The iterations build Kaufman's Jacobian from the basis in hand; the
-    full-model Jacobian is evaluated once per batch of _LANES rows, for
-    the covariance at the solution, from the one basis that also gives
-    the residual RMS: the fit calls neither model_eval nor
+    full-model Jacobian is evaluated once per block of at most _BLOCK
+    rows, for the covariance at the solution, from the one basis that also
+    gives the residual RMS: the fit calls neither model_eval nor
     model_jacobian, which would each build the basis again."""
     series, _ = field("rabi", seed=6)
     jacobian = pulse_fit._jacobian
@@ -447,7 +451,7 @@ def test_rabi_field_jacobian_only_for_covariance(monkeypatch):
     monkeypatch.setattr(pulse_fit, "model_eval", refused)
     results = fit_rows(pulse_fit.fit_many("rabi", as_stacks(series)))
     assert len(series) == 147 and all(r.converged for r in results)
-    assert len(rows) == math.ceil(147 / pulse_fit._LANES) == 2
+    assert len(rows) == math.ceil(147 / pulse_fit._BLOCK)
     assert sum(rows) == 147
 
 

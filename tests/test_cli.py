@@ -631,7 +631,7 @@ def test_pixel_file_too_short_is_refused_by_its_name(tmp_path, capsys):
 
 def test_constant_pixel_file_is_refused_by_its_name(tmp_path, capsys):
     """`fit` refuses a constant pixel file by its name, also with an
-    --init; an --init refusal names no file."""
+    --init; an --init refusal (a2 negative or infinite) names no file."""
     path = tmp_path / "flat.csv"
     path.write_text("tau_s,signal\n" + "".join(
         f"{t}e-6,0.5\n" for t in range(1, 6)))
@@ -642,11 +642,12 @@ def test_constant_pixel_file_is_refused_by_its_name(tmp_path, capsys):
                        [f"error: {path}: {message}"])
     path.write_text("tau_s,signal\n1e-6,1\n2e-6,0.6\n3e-6,0.4\n4e-6,0.3\n")
     out = tmp_path / "out"
-    assert run("--out", out, "fit", "--model", "t1", "--input", path,
-               "--init", "1,-2e-5,0") == 2
-    assert capsys.readouterr().err == \
-        "error: parameter a2 of t1 must be positive\n"
-    assert not out.exists()
+    for init in ("1,-2e-5,0", "1,inf,0"):
+        assert run("--out", out, "fit", "--model", "t1", "--input", path,
+                   "--init", init) == 2
+        assert capsys.readouterr().err == \
+            "error: parameter a2 of t1 must be positive and finite\n"
+        assert not out.exists()
 
 
 def test_nan_sigma_is_refused_by_its_name(tmp_path, capsys):

@@ -202,6 +202,29 @@ def test_pi_time_longer_than_its_own_span_is_derive_failed(points, missing):
     assert np.isnan(pixel_map.values[1]).sum() == missing
 
 
+def test_decay_time_longer_than_its_span_is_derive_failed():
+    """The span rule holds for every model: a t1 pixel whose readings rise
+    (0, 1, ..., 119) converges to an a2 far beyond the 5 ms span, which was
+    not measured, and counts as derive_failed; the decaying pixels stay
+    valid."""
+    tau = np.linspace(0.0, 5e-3, 120)
+    params = np.broadcast_to([1.0, 1e-3, 0.3], (21, 7, 3))
+    data = mapping.synth_map(params, "t1", tau, 0.05, 42)
+    (stack,) = data.traces
+    signal = stack.signal.copy()
+    signal[3] = np.arange(120.0)  # pixel (ix=3, iy=0)
+    data = mapping.Dataset(data.x, data.y, [Traces(tau, signal)])
+    rising = pulse_fit.fit_many("t1", data.traces)
+    assert rising.converged[3] and rising.params[3, 1] > 1e3 * tau[-1]
+    pixel_map = mapping.assemble(data, "t1")
+    assert pixel_map.failures == {"unidentifiable": 0, "not_converged": 0,
+                                  "derive_failed": 1}
+    assert np.isnan(pixel_map.values[0, 3])
+    s = mapping.stats(pixel_map)
+    assert s.n_valid == 146
+    assert s.max == pytest.approx(1.106e-3, rel=1e-3)
+
+
 def test_stats_basic():
     values = np.array([[1.0, 1.0], [1.0, 1.0]])
     pm = mapping.PixelMap((0, 0), PITCH, 2, 2, values, "t2", "s")
