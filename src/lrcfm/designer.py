@@ -321,10 +321,8 @@ def cfm_comparison(spec: SweepSpec, cfm_focal: float, proportion_grid,
     if optimum is None:
         optimum = optimal_rayleigh(spec)
     lrcfm_signal = optimum.detected_signal
-    cfm_zr = beam_optics.rayleigh_length(
-        beam_optics.waist_from_lens(cfm_focal, ctx.incident_beam_diameter,
-                                    ctx.wavelength), ctx.wavelength)
-    cfm_base = _at_rayleigh(np.array([cfm_zr]), ctx).detected_signal.item()
+    cfm_base = _evaluate(np.array([cfm_focal]), ctx.lens_radius,
+                         ctx).detected_signal.item()
     return [(float(p), lrcfm_signal / (cfm_base * p)) for p in proportions]
 
 

@@ -208,6 +208,8 @@ def synth_map(truth_params: np.ndarray, model: str, tau: np.ndarray,
     if not 0 <= noise_sigma < np.inf:
         raise ValueError("noise sigma must be finite and non-negative, "
                          f"got {noise_sigma!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     tau = np.asarray(tau, dtype=float)
     iy, ix = np.divmod(np.arange(ny * nx), nx)
     signal = pulse_fit.model_eval(model, tau,

@@ -143,7 +143,8 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
     arrays of the same shape (scalars for a scalar power density).
 
     The whole stack of normalized 5x5 systems goes through one batched
-    solve.
+    solve. If a system is singular (an exactly zero LU pivot: slogdet
+    sign 0), the first one in C order is named in an ArithmeticError.
     """
     a, gamma = _systems(rates, pump, power_density)
     b = np.zeros(a.shape[:-1] + (1,))
@@ -153,16 +154,17 @@ def steady_states(rates: NvRateSet, pump: PumpModel,
         # one step of iterative refinement; the system is badly
         # conditioned when the pump is far slower than the decay rates
         rho += np.linalg.solve(a, b - a @ rho)
-    except np.linalg.LinAlgError:
-        for i in np.ndindex(np.shape(gamma)):  # name the first singular one
-            try:
-                np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError as exc:
-                raise ArithmeticError(
-                    "singular steady-state system "
-                    f"(cond={np.linalg.cond(a[i]):.3e}, "
-                    f"gamma={gamma[i]:.3e} Hz)") from exc
-        raise
+    except np.linalg.LinAlgError as exc:
+        # name the first singular system: its LU has a zero pivot, sign 0
+        with np.errstate(invalid="ignore"):
+            singular = np.flatnonzero(np.linalg.slogdet(a)[0] == 0)
+        if not singular.size:
+            raise
+        i = singular[0]
+        raise ArithmeticError(
+            "singular steady-state system "
+            f"(cond={np.linalg.cond(a.reshape(-1, 5, 5)[i]):.3e}, "
+            f"gamma={np.ravel(gamma)[i]:.3e} Hz)") from exc
     return SteadyState(*(rho[..., k, 0] for k in range(5)))
 
 

@@ -71,6 +71,9 @@ _LINEAR = {"t1": (0, 2), "t2": (0,)}
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-8
 _MAX_REJECTIONS = 50  # rejected trial steps per iteration before giving up
+# largest logarithm of a nonlinear parameter: `_positive` caps trial
+# iterates there, and `check_params` refuses a start or truth above it
+_LOG_CAP = 700.0
 # rows of a block, the unit of work of `fit_many`; bounds the working
 # arrays, such as the (rows, len(tau), k) basis
 _BLOCK = 256
@@ -215,13 +218,17 @@ def check_points(model: str, n: int) -> None:
 
 def check_params(model: str, a) -> None:
     """Refuse parameters (..., arity) of `model` whose nonlinear ones (a2,
-    and a3 for rabi and t2) are not all positive and finite."""
+    and a3 for rabi and t2) are not all positive and finite, or exceed
+    e^_LOG_CAP, where the fitter would cap them."""
     nonlinear = list(_NONLINEAR[model])
     a = np.asarray(a)[..., nonlinear]
-    bad = np.argwhere(~((a > 0) & (a < np.inf)))
-    if bad.size:
-        raise ValueError(f"parameter a{nonlinear[bad[0, -1]] + 1} of {model} "
-                         "must be positive and finite")
+    cap = np.exp(_LOG_CAP)
+    for bad, rule in ((~((a > 0) & (a < np.inf)), "positive and finite"),
+                      (a > cap, f"at most e^{_LOG_CAP:g} ({cap:.4g})")):
+        where = np.argwhere(bad)
+        if where.size:
+            raise ValueError(f"parameter a{nonlinear[where[0, -1]] + 1} of "
+                             f"{model} must be {rule}")
 
 
 def _fit_block(model, traces, init) -> FitResult:
@@ -262,7 +269,7 @@ def _fit_block(model, traces, init) -> FitResult:
 def _positive(theta):
     """Nonlinear parameters from their logarithms, capped to keep extreme
     trial iterates finite."""
-    return np.exp(np.minimum(theta, 700.0))
+    return np.exp(np.minimum(theta, _LOG_CAP))
 
 
 def _basis(model, tau, nl):
@@ -427,20 +434,20 @@ def _variable_projection(model, tau, y, sigma, theta):
 
 def _solve_rows(matrices, rhs):
     """Solve each (p, p) system of a stack for its right-hand side, shape
-    (p,) or (p, q); NaN for singular systems, whose trial step or
+    (p,) or (p, q), in one batched call; NaN for a singular system (an
+    exactly zero LU pivot: slogdet sign 0), whose trial step or
     coefficients then give a rejected (non-finite) cost."""
     vector = rhs.ndim == 2
     if vector:
         rhs = rhs[:, :, None]
     try:
         out = np.linalg.solve(matrices, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full_like(rhs, np.nan)
-        for i, (matrix, b) in enumerate(zip(matrices, rhs)):
-            try:
-                out[i] = np.linalg.solve(matrix, b)
-            except np.linalg.LinAlgError:
-                pass
+    except np.linalg.LinAlgError:  # solve again, singular members as I
+        with np.errstate(invalid="ignore"):  # log|det| of a NaN member
+            singular = np.linalg.slogdet(matrices)[0] == 0
+        out = np.linalg.solve(np.where(
+            singular[:, None, None], np.eye(len(matrices[0])), matrices), rhs)
+        out[singular] = np.nan
     return out[:, :, 0] if vector else out
 
 
@@ -470,19 +477,13 @@ def _canonicalize_rabi(a, cov, tau):
 
 def _covariance(model, a, jtj, cost, n):
     """Covariances (N, arity, arity) of parameter rows a (N, arity), from
-    the log-parameter normal matrices jtj and the costs of the fits."""
+    the log-parameter normal matrices jtj and the costs of the fits; NaN
+    where jtj is singular, as the data leave a direction undetermined."""
     dof = max(n - MODEL_ARITY[model], 1)
     s2 = cost / dof
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            inverse = np.linalg.inv(jtj)
-        except np.linalg.LinAlgError:  # some row is singular
-            inverse = np.empty_like(jtj)
-            for i, matrix in enumerate(jtj):
-                try:
-                    inverse[i] = np.linalg.inv(matrix)
-                except np.linalg.LinAlgError:
-                    inverse[i] = np.linalg.pinv(matrix)
+        inverse = _solve_rows(jtj, np.broadcast_to(np.eye(jtj.shape[-1]),
+                                                   jtj.shape))
         cov_b = s2[:, None, None] * inverse
         scale = np.ones_like(a)
         scale[:, _NONLINEAR[model]] = a[:, _NONLINEAR[model]]

@@ -671,6 +671,53 @@ def test_basis_derivatives_equal_log_jacobian(model, with_sigma):
     assert_within_row_scale(got[:n], want[:n])
 
 
+def former_solve_rows(matrices, rhs):
+    """The former fallback of `_solve_rows`: each system solved alone,
+    NaN where that solve finds it singular."""
+    vector = rhs.ndim == 2
+    if vector:
+        rhs = rhs[:, :, None]
+    out = np.full_like(rhs, np.nan)
+    for i, (matrix, b) in enumerate(zip(matrices, rhs)):
+        try:
+            out[i] = np.linalg.solve(matrix, b)
+        except np.linalg.LinAlgError:
+            pass
+    return out[:, :, 0] if vector else out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_solve_rows_equals_former_per_row_loop(p):
+    """The masked batched retry gives the former per-row loop's rows, bit
+    for bit (NaN as NaN), on a stack with singular, NaN, infinite and
+    extremely scaled members, for vector and matrix right-hand sides."""
+    rng = np.random.default_rng(25)
+    good = rng.normal(size=(14, p, p))
+    matrices = good.copy()
+    matrices[1] = 0.0
+    matrices[2, 0, -1] = np.nan
+    matrices[3, -1, 0] = np.inf
+    matrices[4, 0, 0] = -np.inf
+    matrices[5] = good[5] * 1e-300
+    matrices[6] = good[6] * 1e300
+    matrices[7] = np.outer(np.arange(1.0, p + 1), np.arange(p, 0.0, -1))
+    matrices[8, -1] = 0.0
+    matrices[9] = good[9] * 1e-320  # subnormal entries
+    matrices[10, :, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):  # the fallback is taken
+        np.linalg.solve(matrices, np.ones((14, p, 1)))
+    for rhs in (rng.normal(size=(14, p)), rng.normal(size=(14, p, 2)),
+                np.broadcast_to(np.eye(p), matrices.shape),
+                rng.normal(size=(14, p)) * 1e300):
+        got = pulse_fit._solve_rows(matrices, rhs)
+        want = former_solve_rows(matrices, rhs)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert nan[[1, 7, 8, 10]].all()
+        assert not nan[[0, 11, 12, 13]].any()
+
+
 def test_singular_rows_get_no_step():
     good = np.array([[2.0, 1.0], [1.0, 3.0]])
     matrices = np.stack([good, np.zeros((2, 2)), 2 * good])
@@ -974,13 +1021,16 @@ def test_covariance_and_fold_equal_former_per_row():
     a[4, 2] = np.nan
     m = rng.normal(size=(9, 5, 5))
     jtj = m @ m.transpose(0, 2, 1)
-    jtj[2, 4] = jtj[2, :, 4] = 0.0  # singular: the per-row pinv fallback
+    jtj[2, 4] = jtj[2, :, 4] = 0.0  # singular: a NaN covariance
     jtj[5, 1] = jtj[5, :, 1] = np.inf
     cost = rng.uniform(0.1, 2, 9)
     cov = pulse_fit._covariance("rabi", a, jtj, cost, n)
     folded, folded_cov = pulse_fit._canonicalize_rabi(a, cov, tau)
     for i in range(9):
         want = former_covariance("rabi", a[i], jtj[i], cost[i], n)
+        if i == 2:  # the former path took a pseudo-inverse here
+            assert np.isnan(cov[i]).all()
+            want = cov[i]
         assert cov[i].tobytes() == want.tobytes()
         fa, fc = former_fold(a[i], want, tau)
         assert folded[i].tobytes() == fa.tobytes()

@@ -503,14 +503,17 @@ def test_malformed_truth_is_input_error(tmp_path, capsys, edit):
 
 def test_non_positive_truth_parameter_is_refused_before_evaluation(
         tmp_path, capsys):
-    """A t1 truth with a2 = 0 would divide by zero in the model: it is
-    refused, naming the file and its 'params', before any evaluation."""
+    """A t1 truth with a2 = 0 would divide by zero in the model, and one
+    with a2 = 1e308 lies above the fitter's cap: each is refused, naming
+    the file and its 'params', before any evaluation."""
     path = tmp_path / "truth.json"
-    path.write_text(json.dumps({"model": "t1", "nx": 2, "ny": 1,
-                                "params": [1, 0, 0], "tau_s": [0, 1, 2, 3]}))
-    assert_refused(tmp_path, capsys, 2, ["simulate", "--model", "t1",
-                                         "--truth", path],
-                   [f"{path}: 'params': parameter a2 of t1 must be positive"])
+    for a2, rule in ((0, "positive"), (1e308, "at most e^700")):
+        path.write_text(json.dumps({"model": "t1", "nx": 2, "ny": 1,
+                                    "params": [1, a2, 0],
+                                    "tau_s": [0, 1, 2, 3]}))
+        assert_refused(tmp_path, capsys, 2, ["simulate", "--model", "t1",
+                                             "--truth", path],
+                       [f"{path}: 'params': parameter a2 of t1 must be {rule}"])
 
 
 @pytest.mark.parametrize("name", ["truth.json", "manifest.json"])
@@ -631,7 +634,8 @@ def test_pixel_file_too_short_is_refused_by_its_name(tmp_path, capsys):
 
 def test_constant_pixel_file_is_refused_by_its_name(tmp_path, capsys):
     """`fit` refuses a constant pixel file by its name, also with an
-    --init; an --init refusal (a2 negative or infinite) names no file."""
+    --init; an --init refusal (a2 negative, infinite or above the
+    fitter's cap e^700) names no file."""
     path = tmp_path / "flat.csv"
     path.write_text("tau_s,signal\n" + "".join(
         f"{t}e-6,0.5\n" for t in range(1, 6)))
@@ -642,11 +646,13 @@ def test_constant_pixel_file_is_refused_by_its_name(tmp_path, capsys):
                        [f"error: {path}: {message}"])
     path.write_text("tau_s,signal\n1e-6,1\n2e-6,0.6\n3e-6,0.4\n4e-6,0.3\n")
     out = tmp_path / "out"
-    for init in ("1,-2e-5,0", "1,inf,0"):
+    for init, rule in (("1,-2e-5,0", "positive and finite"),
+                       ("1,inf,0", "positive and finite"),
+                       ("1,1e308,0", "at most e^700 (1.014e+304)")):
         assert run("--out", out, "fit", "--model", "t1", "--input", path,
                    "--init", init) == 2
         assert capsys.readouterr().err == \
-            "error: parameter a2 of t1 must be positive and finite\n"
+            f"error: parameter a2 of t1 must be {rule}\n"
         assert not out.exists()
 
 
@@ -688,6 +694,11 @@ def test_bad_noise_is_input_error(tmp_path, capsys, noise):
                                          "--truth", path, "--noise", noise],
                    [f"noise sigma must be finite and non-negative, "
                     f"got {float(noise)!r}"])
+    # a negative seed is refused by name at every noise level, also at 0
+    for good in ("0", "0.01"):
+        assert_refused(tmp_path, capsys, 2, [
+            "--seed", "-1", "simulate", "--model", "t2", "--truth", path,
+            "--noise", good], ["error: seed must be non-negative, got -1"])
 
 
 @pytest.mark.parametrize("pitch", ["0 um", "-50 um", "inf um", "nan um"])
@@ -803,15 +814,11 @@ def test_linalg_failure_is_numerical(tmp_path, monkeypatch, capsys):
     data = tmp_path / "data"
     assert simulate(data, 0.01, 3, ny=1, nx=2) == 0
 
-    def singular(matrix):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    def no_convergence(matrix):
+    def no_convergence(*args):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    # the fit covariance falls back from inv to pinv, and pinv fails too
-    monkeypatch.setattr(np.linalg, "inv", singular)
-    monkeypatch.setattr(np.linalg, "pinv", no_convergence)
+    # the fitter's batched solve fails, and so does its masked retry
+    monkeypatch.setattr(np.linalg, "solve", no_convergence)
     for argv in (("fit", "--model", "t2", "--input",
                   data / "pixel_000_000.csv"),
                  ("map", "--model", "t2", "--manifest", data)):

@@ -465,6 +465,31 @@ def test_singular_point_is_named(reference_context):
         old_sweep(spec)
 
 
+def former_singular_message(a, gamma):
+    """The former naming of a singular stack: each system re-solved alone,
+    in order, and the first that raises named."""
+    for i in np.ndindex(np.shape(gamma)):
+        try:
+            np.linalg.solve(a[i], np.eye(5)[:, :1])
+        except np.linalg.LinAlgError:
+            return ("singular steady-state system "
+                    f"(cond={np.linalg.cond(a[i]):.3e}, "
+                    f"gamma={gamma[i]:.3e} Hz)")
+
+
+@pytest.mark.parametrize("density", [
+    1e8, [3e9, 1e8, 5e7], [[3e9, 2e9], [4e9, 1e8]]])
+def test_singular_system_is_named_as_the_former_loop_named_it(
+        reference_context, density):
+    """steady_states names the first singular system of a stack, or the
+    system of a scalar power density, as the former loop did."""
+    pump = CutoffPump(reference_context.pump.coupling, 1e9)
+    a, gamma = nv_rates._systems(reference_context.rates, pump, density)
+    with pytest.raises(ArithmeticError) as got:
+        nv_rates.steady_states(reference_context.rates, pump, density)
+    assert str(got.value) == former_singular_message(a, gamma)
+
+
 def test_design_report_conditions_match_oracle(tmp_path, capsys):
     config = lrcfm.data_path("example_config.txt")
     assert main(["--out", str(tmp_path), "design",
